@@ -18,12 +18,10 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .gf2 import BitVector
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .group import AffineElement
+from .group import AffineElement, point_of_index
 
 
 class DegreeOutOfRangeError(ValueError):
@@ -250,13 +248,6 @@ def _window_indicator(n: int, s: int, k: int) -> int:
     return ind
 
 
-def mul_by_variable(terms: int, t: int, n: int) -> int:
-    """Multiply a dense term set by x_{t+1} (with x^2 = x and cancellation)."""
-    has = _var_masks(n)[t]
-    keep = terms & has
-    return keep ^ ((terms ^ keep) << (1 << t))
-
-
 def mul_by_linear(terms: int, row_bits: int, const: int, n: int) -> int:
     """Multiply a dense term set by the affine form (sum of x_{t+1} over set
     bits t of row_bits) xor const."""
@@ -299,16 +290,6 @@ def substitute_anf(f: Anf, g: "AffineElement") -> Anf:
 
 # --- truth tables ---------------------------------------------------------
 
-def _point_of_index(i: int, n: int) -> int:
-    """Truth-table index -> point bits in the internal layout (reverse the
-    n-bit string: coordinate 1 is the most significant bit of the index)."""
-    v = 0
-    for t in range(n):
-        if (i >> t) & 1:
-            v |= 1 << (n - 1 - t)
-    return v
-
-
 def evaluate(f: Anf, x: BitVector) -> int:
     """Value of f at a point given in coordinate layout (bit t = x_{t+1})."""
     if x.n != f.n:
@@ -335,7 +316,7 @@ def truth_table(f: Anf) -> BitVector:
     size = 1 << n
     out = 0
     for i in range(size):
-        if (tbl >> _point_of_index(i, n)) & 1:
+        if (tbl >> point_of_index(i, n).bits) & 1:
             out |= 1 << i
     return BitVector(size, out)
 
@@ -349,7 +330,7 @@ def anf_from_truth_table(t: BitVector) -> Anf:
     tbl = 0
     for i in range(size):
         if t[i]:
-            tbl |= 1 << _point_of_index(i, n)
+            tbl |= 1 << point_of_index(i, n).bits
     # the GF(2) Moebius transform is the same butterfly as the zeta transform
     for tt in range(n):
         has = _var_masks(n)[tt]

@@ -9,6 +9,7 @@ cell decomposition is broken and raises instead of rounding.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,13 +24,13 @@ from .conjclasses import (
     import_cells,
 )
 from .group import AffineElement, group_orders
-from .linrep import fixed_space_log2, monomial_images
+from .linrep import Echelon, fixed_space_log2, monomial_images
 
 PROVIDERS = ("exhaustive", "canonical", "import")
 
 
 class InexactDivisionError(ArithmeticError):
-    """The Burnside sum is not a multiple of the group order."""
+    """The Burnside sum is not a positive multiple of the group order."""
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,20 @@ def resolve_cells(n: int, provider: str = "canonical", *,
 
 def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
                        cells: list[ConjCell]) -> list[int]:
-    """Size-weighted fixed-point sums of a slice of cells, one per pair."""
+    """Size-weighted fixed-point sums of a slice of cells, one per pair.
+    Pairs are visited in (k, s) order, so each cell runs one elimination
+    per k that every window (k, s] extends."""
     max_s = max(s for _, s in pairs)
+    walk = sorted(range(len(pairs)), key=pairs.__getitem__)
     sums = [0] * len(pairs)
     for cell in cells:
         images = monomial_images(cell.rep, max_s)
-        for i, (k, s) in enumerate(pairs):
-            sums[i] += cell.size << fixed_space_log2(images, n, s, k)
+        echelon = None
+        for i in walk:
+            k, s = pairs[i]
+            if echelon is None or echelon.k != k:
+                echelon = Echelon(k)
+            sums[i] += cell.size << fixed_space_log2(images, n, s, k, echelon)
     return sums
 
 
@@ -86,6 +94,8 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     """Counts for several (k, s) pairs in one sweep, sharing the cell list
     and the per-cell monomial images. Returns {(k, s): CountResult}; each
     result carries the elapsed time of the whole batch."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     pairs = tuple(pairs)
     if not pairs:
         return {}
@@ -102,8 +112,9 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     if total_size != order:
         raise CellDecompositionError(
             f"cell sizes sum to {total_size}, not |AGL({n},2)| = {order}")
-    if threads > 1 and len(cells) > 1:
-        workers = min(threads, len(cells))
+    # never more processes than cells or CPUs
+    workers = min(threads, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         # round-robin slices rather than contiguous ones: neighboring cells
         # have correlated cost, this balances them
         slices = [cells[w::workers] for w in range(workers)]
@@ -117,11 +128,10 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     out = {}
     for (k, s), acc in zip(pairs, sums):
         q, rem = divmod(acc, order)
-        if rem:
+        if rem or q < 1:
             raise InexactDivisionError(
                 f"n={n} s={s} k={k}: Burnside sum {acc} leaves remainder "
-                f"{rem} mod |AGL({n},2)|")
-        assert q >= 1
+                f"{rem} mod |AGL({n},2)| and quotient {q}")
         out[(k, s)] = CountResult(n, s, k, q, tag, len(cells), elapsed)
     return out
 

@@ -235,8 +235,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (InexactDivisionError, CellDecompositionError, AssertionError,
-            RuntimeError) as e:
+    except (InexactDivisionError, CellDecompositionError, RuntimeError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (NotAffineError, ValueError, OSError) as e:

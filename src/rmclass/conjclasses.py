@@ -310,7 +310,8 @@ def fiber_generators(a: BitMatrix, rng: random.Random | None = None,
     axi = a ^ identity(n)
     for v in image_basis(axi):
         d = solve(axi, v)
-        assert d is not None  # v is in the image by construction
+        if d is None:  # v is in the image by construction
+            raise RuntimeError(f"{v} not in the image of a xor I")
         out.append(AffineElement(n, identity(n), d))
     return out
 
@@ -462,7 +463,9 @@ def _exhaustive_cells_cached(n: int) -> tuple[ConjCell, ...]:
         cells.append(ConjCell(
             AffineElement(n, BitMatrix(n, n, rrows), BitVector(n, rb)),
             len(cls)))
-    assert sum(c.size for c in cells) == order
+    if sum(c.size for c in cells) != order:
+        raise RuntimeError(
+            f"class sizes sum to {sum(c.size for c in cells)}, not {order}")
     return tuple(cells)
 
 

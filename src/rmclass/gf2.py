@@ -201,9 +201,17 @@ def transpose(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.cols, m.rows, tuple(cols))
 
 
-def rank_of_rows(rows: Iterable[int]) -> int:
-    """Rank of a set of bit-packed rows. Consumes nothing; rows are ints."""
-    pivots: dict[int, int] = {}
+def rank_of_rows(rows: Iterable[int],
+                 pivots: dict[int, int] | None = None) -> int:
+    """Rank of a set of bit-packed rows. Consumes nothing; rows are ints.
+
+    This is the one elimination loop of the package: each row is reduced by
+    the pivot rows (pivot = highest set bit) and, if anything is left, kept
+    as a new pivot. Given a pivot dict {pivot bit: row}, it extends that
+    dict in place and returns how much the rank grew, so an echelon form
+    can be built up one batch of rows at a time."""
+    if pivots is None:
+        pivots = {}
     r = 0
     for row in rows:
         while row:
@@ -222,57 +230,38 @@ def rank(m: BitMatrix) -> int:
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
-    """Gauss-Jordan inverse; raises SingularMatrixError below full rank."""
+    """Inverse by reducing [m | I] (m in the high bits) to [I | m^-1];
+    raises SingularMatrixError below full rank."""
     if not m.is_square():
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    work = list(m.row_bits)
-    aug = [1 << i for i in range(n)]
-    row_at = 0
-    for col in range(n):
-        pivot = None
-        for i in range(row_at, n):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMatrixError(f"rank < {n}")
-        work[row_at], work[pivot] = work[pivot], work[row_at]
-        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        prow, paug = work[row_at], aug[row_at]
-        for i in range(n):
-            if i != row_at and (work[i] >> col) & 1:
-                work[i] ^= prow
-                aug[i] ^= paug
-        row_at += 1
-    return BitMatrix(n, n, tuple(aug))
+    rows = _rref_rows([(r << n) | (1 << i) for i, r in enumerate(m.row_bits)])
+    # one row per pivot, pivots descending; a pivot in the low half means
+    # m has a zero combination of rows
+    if any(r >> n == 0 for r in rows):
+        raise SingularMatrixError(f"rank < {n}")
+    low = (1 << n) - 1
+    return BitMatrix(n, n, tuple(r & low for r in reversed(rows)))
 
 
 def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     """One solution x of m·x = v, or None if the system is inconsistent."""
     if m.rows != v.n:
         raise ValueError("dimension mismatch")
-    work = [(m.row_bits[i], (v.bits >> i) & 1) for i in range(m.rows)]
-    pivots: dict[int, tuple[int, int]] = {}
-    for row, rhs in work:
-        while row:
-            b = row.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = (row, rhs)
-                break
-            row ^= p[0]
-            rhs ^= p[1]
-        else:
-            if rhs:
-                return None
+    # augmented rows: the right-hand side is bit 0, column j is bit j + 1;
+    # a row reduced to the bare right-hand side 1 means 0 = 1
+    pivots: dict[int, int] = {}
+    rank_of_rows(((r << 1) | ((v.bits >> i) & 1)
+                  for i, r in enumerate(m.row_bits)), pivots)
+    if 0 in pivots:
+        return None
     # free variables are 0; each pivot equation only involves lower bits,
     # so settle pivots from low bit to high
     x = 0
     for b in sorted(pivots):
-        row, rhs = pivots[b]
-        if (row & x).bit_count() & 1 != rhs:
-            x |= 1 << b
+        row = pivots[b]
+        if ((row >> 1) & x).bit_count() & 1 != row & 1:
+            x |= 1 << (b - 1)
     return BitVector(m.cols, x)
 
 
@@ -280,14 +269,7 @@ def _rref_rows(rows: list[int]) -> list[int]:
     """Reduced row echelon form of bit-packed rows (pivot = highest set bit),
     returned sorted by pivot descending. Deterministic for any input order."""
     pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            b = row.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = row
-                break
-            row ^= p
+    rank_of_rows(rows, pivots)
     # clear above-pivot bits
     for b in sorted(pivots):
         row = pivots[b]
@@ -301,25 +283,16 @@ def nullspace_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of {x : m·x = 0}, in reduced echelon normal form."""
     n = m.cols
     pivots: dict[int, int] = {}
-    for row in m.row_bits:
-        while row:
-            b = row.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = row
-                break
-            row ^= p
+    rank_of_rows(m.row_bits, pivots)
     basis = []
-    free = [j for j in range(n) if j not in pivots]
-    for f in free:
+    for f in (j for j in range(n) if j not in pivots):
         # start with x_f = 1, solve pivot equations from low to high bit
         x = 1 << f
         for b in sorted(pivots):
             if (pivots[b] & x).bit_count() & 1:
                 x |= 1 << b
         basis.append(x)
-    basis = _rref_rows(basis)
-    return [BitVector(n, b) for b in basis]
+    return [BitVector(n, b) for b in _rref_rows(basis)]
 
 
 def image_basis(m: BitMatrix) -> list[BitVector]:

@@ -12,6 +12,7 @@ simultaneous row/column permutation), see fixed_space_log2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .anf import (
@@ -30,9 +31,7 @@ from .gf2 import BitMatrix, mat_vec, rank, rank_of_rows
 from .group import AffineElement
 
 
-def dimension(n: int, s: int, k: int) -> int:
-    """Size of the coefficient space: sum of C(n,i) for k < i <= s."""
-    return space_dimension(n, s, k)
+dimension = space_dimension  # the size of the coefficient space
 
 
 @dataclass(frozen=True)
@@ -79,21 +78,51 @@ def monomial_images(g: AffineElement, max_degree: int | None = None) -> list[int
     return images
 
 
-def fixed_space_log2(images: list[int], n: int, s: int, k: int) -> int:
+@functools.lru_cache(maxsize=None)
+def _masks_by_degree(n: int) -> tuple[tuple[int, ...], ...]:
+    """entry i = the masks of the degree-i monomials, in increasing order."""
+    return tuple(tuple(u for u in range(1 << n) if u.bit_count() == i)
+                 for i in range(n + 1))
+
+
+class Echelon:
+    """Elimination state of tau xor I on the window (k, top], carried from
+    one window (k, s] to the next larger s. An affine substitution sends a
+    degree-i monomial to terms of degree <= i, so the rows of (k, s] are the
+    rows of (k, s'] of degree <= s, with zeros in the columns above s: the
+    rank of (k, s'] is reached by adding only the rows of degrees s+1..s'."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.pivots: dict[int, int] = {}  # pivot bit -> row; rank = size
+        self.top = k  # highest degree whose rows have been added
+
+
+def fixed_space_log2(images: list[int], n: int, s: int, k: int,
+                     echelon: Echelon | None = None) -> int:
     """log2 of the number of coefficient vectors fixed by the element whose
-    monomial images are given: d - rank(tau xor I). The rank is computed on
-    rows kept in monomial-mask positions instead of the canonical order;
-    relabeling rows and columns by the same permutation preserves rank."""
-    window = _window_indicator(n, s, k)
-    d = window.bit_count()
-    rows = []
-    w = window
-    while w:
-        low = w & -w
-        u = low.bit_length() - 1
-        rows.append((images[u] & window) ^ low)
-        w ^= low
-    return d - rank_of_rows(rows)
+    monomial images are given: d - rank(tau xor I) on the window (k, s].
+    An echelon for this k (empty if none is given) is extended in place by
+    the rows of degrees top+1..s. Rows are kept in monomial-mask positions,
+    not the canonical order: the same permutation of rows and columns
+    preserves rank."""
+    d = space_dimension(n, s, k)
+    if echelon is None:
+        echelon = Echelon(k)
+    elif echelon.k != k:
+        raise ValueError(f"echelon built for k={echelon.k}, not k={k}")
+    if s < echelon.top:
+        raise ValueError(
+            f"echelon already holds degrees up to {echelon.top} > s={s}")
+    # the rows added so far have no terms above their own degree, so one
+    # mask per k (drop degrees <= k) serves every s
+    window = _window_indicator(n, n, k)
+    rows = [(images[u] & window) ^ (1 << u)
+            for i in range(echelon.top + 1, s + 1)
+            for u in _masks_by_degree(n)[i]]
+    rank_of_rows(rows, echelon.pivots)
+    echelon.top = s
+    return d - len(echelon.pivots)
 
 
 def tau_matrix(g: AffineElement, s: int, k: int) -> TauMatrix:

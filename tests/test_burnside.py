@@ -1,7 +1,11 @@
+import os
+import random
+
 import pytest
 
 from conftest import find_inexact_swap, make_example
 from helpers_oracle import FROZEN_COUNTS, brute_class_count, valid_pairs
+from rmclass import burnside
 from rmclass.burnside import (
     InexactDivisionError,
     all_pairs,
@@ -14,7 +18,12 @@ from rmclass.burnside import (
 from rmclass.conjclasses import CellDecompositionError, ConjCell, affine_cells, export_cells
 from rmclass.gf2 import BitVector, mat_vec
 from rmclass.group import identity
-from rmclass.linrep import dimension, tau_matrix
+from rmclass.linrep import (
+    dimension,
+    fixed_space_log2,
+    monomial_images,
+    tau_matrix,
+)
 
 
 def test_fix_count_identity():
@@ -94,6 +103,72 @@ def test_count_pairs_threads_agree():
     threaded = count_pairs(4, all_pairs(4), threads=2)
     assert {p: r.count for p, r in serial.items()} == \
            {p: r.count for p, r in threaded.items()}
+
+
+def test_pair_partial_sums_any_pair_order():
+    # the slice walks pairs in (k, s) order with one echelon per k; the sums
+    # must come back in the caller's order, equal to per-window eliminations
+    n = 5
+    cells = affine_cells(n)
+    pairs = all_pairs(n)
+    random.Random(7).shuffle(pairs)
+    want = [0] * len(pairs)
+    for cell in cells:
+        images = monomial_images(cell.rep)
+        for i, (k, s) in enumerate(pairs):
+            want[i] += cell.size << fixed_space_log2(images, n, s, k)
+    assert burnside._pair_partial_sums(n, tuple(pairs), cells) == want
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the requested worker
+    count and runs the slices in this process, starting nothing."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        FakePool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
+    serial = {p: r.count for p, r in count_pairs(4, all_pairs(4)).items()}
+    for cpus, threads, workers in [(3, 1000, 3), (3, 2, 2), (None, 8, 1),
+                                   (1, 8, 1), (64, 8, 8)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        FakePool.requested = []
+        got = count_pairs(4, all_pairs(4), threads=threads)
+        assert {p: r.count for p, r in got.items()} == serial
+        # one worker runs in the caller's process, without a pool
+        assert FakePool.requested == ([workers] if workers > 1 else [])
+    # never more workers than cells
+    FakePool.requested = []
+    count(1, 1, -1, threads=8)
+    assert FakePool.requested == [len(affine_cells(1))]
+
+
+def test_count_pairs_rejects_threads_below_one():
+    for threads in (0, -4):
+        with pytest.raises(ValueError, match="threads"):
+            count_pairs(3, all_pairs(3), threads=threads)
+
+
+def test_burnside_sum_below_group_order_raises(monkeypatch):
+    # unreachable with valid cells (each contributes at least its size);
+    # the check must still raise, not assert, so `python -O` keeps it
+    monkeypatch.setattr(burnside, "_pair_partial_sums",
+                        lambda n, pairs, cells: [0] * len(pairs))
+    with pytest.raises(InexactDivisionError, match="quotient 0"):
+        count(3, 3, -1)
 
 
 def test_count_with_explicit_cells():

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import TAU_ROWS, find_inexact_swap, make_example
-from rmclass import cli
+from rmclass import burnside, cli
 from rmclass.conjclasses import affine_cells, exhaustive_cells, export_cells, import_cells
 from rmclass.group import element_to_text
 
@@ -65,6 +65,30 @@ def test_count_usage_errors(capsys):
     assert run_cli("count", "--n", "3", "--s", "3", "--k", "1",
                    "--provider", "import", "--file", "/no/such/file") == 2
     capsys.readouterr()
+
+
+def test_threads_below_one_is_usage_error(capsys):
+    for threads in ("0", "-4"):
+        assert run_cli("count", "--n", "5", "--s", "3", "--k", "1",
+                       "--threads", threads) == 2
+        assert "threads" in capsys.readouterr().err
+    assert run_cli("verify", "--max-n", "3", "--threads", "0") == 2
+    capsys.readouterr()
+
+
+def test_internal_raises_exit_3(capsys, monkeypatch):
+    # the library's invariant checks raise; the CLI maps them to exit 3
+    monkeypatch.setattr(burnside, "_pair_partial_sums",
+                        lambda n, pairs, cells: [0] * len(pairs))
+    assert run_cli("count", "--n", "3", "--s", "3", "--k", "-1") == 3
+    assert "internal error" in capsys.readouterr().err
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("generators produced 1 of 24 elements")
+
+    monkeypatch.setattr(cli, "resolve_cells", broken)
+    assert run_cli("count", "--n", "2", "--s", "2", "--k", "-1") == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_count_import_wrong_n(capsys, tmp_path):

@@ -4,10 +4,12 @@ from collections import Counter
 import pytest
 
 from conftest import all_elements, all_matrices
+from rmclass import conjclasses
 from rmclass.conjclasses import (
     DEFAULT_SEED,
     CellDecompositionError,
     CellFormatError,
+    ConjCell,
     affine_cells,
     commutant_units,
     exhaustive_cells,
@@ -215,6 +217,21 @@ def test_fiber_generators_fix_linear_part():
                 assert mat_mul(h.a, a) == mat_mul(a, h.a)
                 g = AffineElement(n, a, BitVector(n, rng.randrange(1 << n)))
                 assert conjugate(h, g).a == a
+
+
+def test_fiber_generators_raise_when_solve_fails(monkeypatch):
+    monkeypatch.setattr(conjclasses, "solve", lambda m, v: None)
+    a = BitMatrix.from_strings(["11", "01"])  # a xor I has rank 1
+    with pytest.raises(RuntimeError, match="image"):
+        fiber_generators(a, random.Random(9))
+
+
+def test_exhaustive_cells_size_sum_raises(monkeypatch):
+    # every class is one element too large, so the sizes miss |AGL(2,2)|
+    monkeypatch.setattr(conjclasses, "ConjCell",
+                        lambda rep, size: ConjCell(rep, size + 1))
+    with pytest.raises(RuntimeError, match="sum"):
+        conjclasses._exhaustive_cells_cached.__wrapped__(2)
 
 
 def test_export_import_roundtrip(tmp_path):

@@ -73,6 +73,21 @@ def test_rank_of_rows_scattered():
     assert rank_of_rows([1 << 200, (1 << 200) | 1, 1]) == 2
 
 
+def test_rank_of_rows_extends_pivots_in_place():
+    rng = random.Random(13)
+    for _ in range(30):
+        rows = [rng.randrange(1 << 12) for _ in range(rng.randrange(1, 16))]
+        cut = rng.randrange(len(rows) + 1)
+        pivots = {}
+        first = rank_of_rows(rows[:cut], pivots)
+        assert first == rank_of_rows(rows[:cut]) == len(pivots)
+        grown = rank_of_rows(rows[cut:], pivots)
+        # the return value is the growth, the dict holds the whole echelon
+        assert first + grown == rank_of_rows(rows) == len(pivots)
+        assert all(row.bit_length() - 1 == b for b, row in pivots.items())
+        assert rank_of_rows(rows, pivots) == 0
+
+
 def test_mat_mul_identity_and_square():
     unreachable = BitMatrix.from_strings(TAU_ROWS_UNREACHABLE)
     assert mat_mul(identity(8), unreachable) == unreachable
@@ -135,6 +150,22 @@ def test_solve_consistent_and_inconsistent():
         assert x is not None and mat_vec(a, x) == v
     with pytest.raises(ValueError):
         solve(m, BitVector(2, 0))
+
+
+def test_solve_matches_enumeration():
+    # solvable exactly when some x hits v, checked over every x and v
+    rng = random.Random(5)
+    for _ in range(20):
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        m = BitMatrix(rows, cols,
+                      tuple(rng.randrange(1 << cols) for _ in range(rows)))
+        hits = {mat_vec(m, BitVector(cols, x)).bits for x in range(1 << cols)}
+        for v in range(1 << rows):
+            x = solve(m, BitVector(rows, v))
+            if v in hits:
+                assert x is not None and mat_vec(m, x).bits == v
+            else:
+                assert x is None
 
 
 def test_nullspace_basis():

@@ -15,8 +15,15 @@ from rmclass.anf import (
     substitute_anf,
 )
 from rmclass.gf2 import BitMatrix, BitVector, identity, mat_mul, mat_vec
-from rmclass.group import compose, identity as group_identity, random_element
+from rmclass.conjclasses import affine_cells
+from rmclass.group import (
+    compose,
+    identity as group_identity,
+    random_element,
+    to_permutation,
+)
 from rmclass.linrep import (
+    Echelon,
     TauMatrix,
     act_on_coefficients,
     dimension,
@@ -152,3 +159,66 @@ def test_tau_matrix_validation():
         TauMatrix(3, 3, -1, identity(7), g)  # wrong size
     with pytest.raises(ValueError):
         TauMatrix(3, 3, -1, BitMatrix(8, 8, (0,) * 8), g)  # singular
+
+
+# --- one elimination per k, carried across s --------------------------------
+#
+# These invariants hold for every element on their own; none of them reads
+# the reference table.
+
+def carried_fixdims(g):
+    """{(k, s): fixdim} from one echelon per k, s increasing, checked at
+    every step against a fresh elimination of the window alone."""
+    n = g.n
+    images = monomial_images(g)
+    out = {}
+    for k in range(-1, n):
+        echelon = Echelon(k)
+        for s in range(k + 1, n + 1):
+            got = fixed_space_log2(images, n, s, k, echelon)
+            assert got == fixed_space_log2(images, n, s, k), (g, k, s)
+            out[(k, s)] = got
+    return out
+
+
+def check_fixdim_invariants(g):
+    n = g.n
+    fix = carried_fixdims(g)
+    for (k, s), f in fix.items():
+        assert 0 <= f <= dimension(n, s, k)
+        # (k, s] is an invariant subspace of (k, s+1]: its fixed vectors
+        # stay fixed in the larger window
+        if s > k + 1:
+            assert f >= fix[(k, s - 1)]
+    # on the full space, the fixed functions are those constant on each
+    # cycle of g on the points of F_2^n
+    assert fix[(-1, n)] == len(to_permutation(g).cycle_type())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_carried_echelon_invariants_all_cells(n):
+    for cell in affine_cells(n):
+        check_fixdim_invariants(cell.rep)
+
+
+def test_carried_echelon_invariants_n8_first_cells():
+    for cell in affine_cells(8)[:50]:
+        check_fixdim_invariants(cell.rep)
+
+
+def test_fixed_space_echelon_misuse_raises():
+    g = make_example()
+    images = monomial_images(g)
+    echelon = Echelon(0)
+    assert fixed_space_log2(images, 3, 2, 0, echelon) == \
+        fixed_space_log2(images, 3, 2, 0)
+    assert echelon.top == 2
+    with pytest.raises(ValueError):
+        fixed_space_log2(images, 3, 3, -1, echelon)  # built for another k
+    with pytest.raises(ValueError):
+        fixed_space_log2(images, 3, 1, 0, echelon)  # s below its top degree
+    # a repeated s adds nothing and reads the same rank again
+    assert fixed_space_log2(images, 3, 2, 0, echelon) == \
+        fixed_space_log2(images, 3, 2, 0)
+    with pytest.raises(ValueError):
+        fixed_space_log2(images, 3, 4, 0)  # s out of range
