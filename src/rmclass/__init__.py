@@ -34,7 +34,6 @@ from .burnside import (
     symmetry_check,
 )
 from .conjclasses import (
-    DEFAULT_SEED,
     CellDecompositionError,
     CellFormatError,
     ConjCell,
@@ -42,7 +41,6 @@ from .conjclasses import (
     affine_cells,
     exhaustive_cells,
     export_cells,
-    fiber_generators,
     gl_classes,
     import_cells,
 )

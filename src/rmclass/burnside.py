@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .anf import check_params, space_dimension
 from .conjclasses import (
-    DEFAULT_SEED,
     CellDecompositionError,
     ConjCell,
     affine_cells,
@@ -51,13 +50,12 @@ def fix_count(g: AffineElement, s: int, k: int) -> int:
 
 
 def resolve_cells(n: int, provider: str = "canonical", *,
-                  seed: int = DEFAULT_SEED,
                   file=None) -> tuple[list[ConjCell], str]:
     """Map a provider tag to a validated cell list."""
     if provider == "exhaustive":
         return exhaustive_cells(n), provider
     if provider == "canonical":
-        return affine_cells(n, seed=seed), provider
+        return affine_cells(n), provider
     if provider == "import":
         if file is None:
             raise ValueError("the import provider requires a cell file")
@@ -89,8 +87,8 @@ def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
 
 
 def count_pairs(n: int, pairs, provider: str = "canonical", *,
-                seed: int = DEFAULT_SEED, threads: int = 1,
-                file=None, cells=None) -> dict[tuple[int, int], CountResult]:
+                threads: int = 1, file=None,
+                cells=None) -> dict[tuple[int, int], CountResult]:
     """Counts for several (k, s) pairs in one sweep, sharing the cell list
     and the per-cell monomial images. Returns {(k, s): CountResult}; each
     result carries the elapsed time of the whole batch."""
@@ -106,7 +104,7 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     start = time.perf_counter()
     tag = "direct"
     if cells is None:
-        cells, tag = resolve_cells(n, provider, seed=seed, file=file)
+        cells, tag = resolve_cells(n, provider, file=file)
     order = group_orders(n)[1]
     total_size = sum(c.size for c in cells)
     if total_size != order:
@@ -137,11 +135,10 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
 
 
 def count(n: int, s: int, k: int, provider: str = "canonical", *,
-          seed: int = DEFAULT_SEED, threads: int = 1,
-          file=None, cells=None) -> CountResult:
+          threads: int = 1, file=None, cells=None) -> CountResult:
     """Number of equivalence classes of the (n, s, k) quotient space under
     the affine group, by the cell-weighted fixed-point average."""
-    return count_pairs(n, [(k, s)], provider, seed=seed, threads=threads,
+    return count_pairs(n, [(k, s)], provider, threads=threads,
                        file=file, cells=cells)[(k, s)]
 
 
@@ -151,15 +148,14 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def symmetry_check(n: int, provider: str = "canonical", *,
-                   seed: int = DEFAULT_SEED,
                    threads: int = 1, file=None) -> list[tuple]:
     """Computes every N_{s,k} for this n and returns the mirror-pair
     violations of N_{s,k} == N_{n-1-k, n-1-s} (expected: none). Each
     violation is ((k, s), (mirror k, mirror s), count, mirror count)."""
     if n < 2:
         raise ValueError("symmetry check needs n >= 2")
-    results = count_pairs(n, all_pairs(n), provider, seed=seed,
-                          threads=threads, file=file)
+    results = count_pairs(n, all_pairs(n), provider, threads=threads,
+                          file=file)
     violations = []
     for (k, s), res in results.items():
         mk, ms = n - 1 - s, n - 1 - k

@@ -20,7 +20,6 @@ from .burnside import (
     resolve_cells,
 )
 from .conjclasses import (
-    DEFAULT_SEED,
     CellDecompositionError,
     CellFormatError,
     export_cells,
@@ -98,8 +97,7 @@ def load_oracle(path=None) -> OracleTable:
 def _acquire_cells(n: int, args):
     """Provider resolution with user-input failures downgraded to usage."""
     try:
-        return resolve_cells(n, args.provider, seed=args.seed,
-                             file=getattr(args, "file", None))
+        return resolve_cells(n, args.provider, file=args.file)
     except (CellFormatError, CellDecompositionError, OSError) as e:
         raise _UsageError(str(e)) from None
 
@@ -175,6 +173,15 @@ def cmd_tau(args) -> int:
     return EXIT_OK
 
 
+def _threads(text: str) -> int:
+    """--threads value, checked when parsed, before any cell is built."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"threads must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmclass",
@@ -182,17 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "on quotients of degree-bounded function spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, provider=True):
-        if provider:
-            p.add_argument("--provider", default="canonical",
-                           choices=("exhaustive", "canonical", "import"))
-            p.add_argument("--file", default=None,
-                           help="cell file (input for import, output for "
-                                "classes)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for the canonical provider's sampling")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers for per-cell work")
+    def common(p, threads=True):
+        p.add_argument("--provider", default="canonical",
+                       choices=("exhaustive", "canonical", "import"),
+                       help="cell decomposition; import checks only that "
+                            "the cell sizes cover the group, so a bad file "
+                            "can give a wrong count with exit 0 or an "
+                            "inexact division with exit 3")
+        p.add_argument("--file", default=None,
+                       help="cell file (input for import, output for "
+                            "classes)")
+        if threads:
+            p.add_argument("--threads", type=_threads, default=1,
+                           help="parallel workers for per-cell work (>= 1)")
 
     p = sub.add_parser("count", help="number of classes for one (n, s, k)")
     p.add_argument("--n", type=int, required=True)
@@ -214,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="write a cell decomposition file")
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, threads=False)
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("tau", help="print the action matrix of one element")

@@ -5,11 +5,10 @@ Three interchangeable providers feed the counting engine:
 - exhaustive_cells: walk the whole group (n <= 4 only) and split it into
   true conjugacy classes.
 - affine_cells: parametrize GL(n,2) classes by rational canonical form,
-  then split each fiber of translations into orbits under conjugations
-  that fix the linear part. The orbit generators are sampled, so cells may
-  refine true classes; that is harmless for counting because members of a
-  cell are still mutually conjugate and the sizes still cover the group
-  exactly once (see the orbit construction below).
+  then split each fiber of translations into its orbits under the
+  conjugations that fix the linear part. The orbits follow from the
+  partition of the x+1 blocks in closed form (see below), so the cells are
+  exactly the conjugacy classes.
 - import_cells: read a decomposition computed elsewhere from a text file.
 
 Every provider guarantees: each cell's members are mutually conjugate, and
@@ -19,27 +18,14 @@ cell sizes sum to |AGL(n,2)|.
 from __future__ import annotations
 
 import functools
-import random
 import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    SingularMatrixError,
-    identity,
-    image_basis,
-    inverse,
-    rank,
-    solve,
-    solve_commutant,
-)
+from .gf2 import BitMatrix, BitVector, SingularMatrixError, inverse
 from .group import AffineElement, group_orders
-
-DEFAULT_SEED = 1
 
 
 class CellFormatError(ValueError):
@@ -242,79 +228,58 @@ def gl_classes(n: int) -> list[GlClassDescriptor]:
 
 # --- the fiber over one GL class -------------------------------------------
 #
-# Conjugating (A, b) by (C, d) with C in the commutant of A gives
+# Conjugating (A, b) by (C, d) with C in the centralizer of A gives
 # (A, C b xor (A xor I) d): the linear part is untouched and the translation
-# moves by an invertible map plus anything in Im(A xor I). Orbits of the
-# group generated by such maps therefore split {A} x F_2^n into cells of
-# mutually conjugate elements, whatever subset of generators we use.
+# moves by C plus anything in Im(A xor I). So the classes over A are the
+# orbits of the centralizer on V/Im(A xor I), each coset holding
+# 2^rank(A xor I) translations.
+#
+# A xor I is invertible on every primary block except those of x+1, so only
+# the companion blocks of (x+1)^t reach the quotient. They come first in the
+# class rep (x+1 sorts first among the irreducibles), largest first, and
+# each adds one quotient coordinate, spanned by the block's cyclic vector
+# e_start. A centralizer element can add the coordinate of a block into the
+# coordinate of any block of equal or smaller size, and acts as GL on the
+# blocks of one size. So besides {0}, there is one orbit per distinct part t
+# of the partition: the vectors that vanish on the blocks larger than t and
+# not on every block of size t. With m_t blocks of size t, it holds
+# (2^m_t - 1) 2^(blocks smaller than t) cosets.
 
-def _flat(m: BitMatrix) -> int:
-    acc = 0
-    for i, r in enumerate(m.row_bits):
-        acc |= r << (i * m.cols)
-    return acc
-
-
-def _unflat(bits: int, n: int) -> BitMatrix:
-    mask = (1 << n) - 1
-    return BitMatrix(n, n, tuple((bits >> (i * n)) & mask for i in range(n)))
-
-
-def commutant_units(a: BitMatrix, rng: random.Random,
-                    budget: int | None = None) -> list[BitMatrix]:
-    """Invertible members of the commutant of a: the identity, each basis
-    matrix and its identity-offset when invertible, plus seeded random
-    combinations (default budget 4 n^2 draws). Deduplicated, sorted."""
-    n = a.rows
-    if budget is None:
-        budget = 4 * n * n
-    basis = [_flat(m) for m in solve_commutant(a)]
-    ident = _flat(identity(n))
-    found = {}
-
-    def consider(flat):
-        if flat in found or flat == 0:
-            return
-        m = _unflat(flat, n)
-        if rank(m) == n:
-            found[flat] = m
-
-    consider(ident)
-    for f in basis:
-        consider(f)
-        consider(f ^ ident)
-    for _ in range(budget):
-        combo = rng.getrandbits(len(basis))
-        acc = 0
-        i = 0
-        while combo:
-            if combo & 1:
-                acc ^= basis[i]
-            combo >>= 1
-            i += 1
-        consider(acc)
-    return [found[f] for f in sorted(found)]
+@functools.lru_cache(maxsize=None)
+def _affine_cells_cached(n: int) -> tuple[ConjCell, ...]:
+    cells = []
+    for cls in gl_classes(n):
+        poly, lam = cls.assignment[0]
+        if poly != 0b11:  # no x+1 blocks: A xor I is invertible
+            lam = ()
+        # rank(A xor I) = n - (number of x+1 blocks)
+        coset = cls.size << (n - len(lam))
+        cells.append(ConjCell(AffineElement(n, cls.rep, BitVector(n, 0)),
+                              coset))
+        start = above = 0
+        for t, mult in sorted(Counter(lam).items(), reverse=True):
+            above += mult
+            orbit = ((1 << mult) - 1) << (len(lam) - above)
+            cells.append(ConjCell(
+                AffineElement(n, cls.rep, BitVector(n, 1 << start)),
+                coset * orbit))
+            start += t * mult
+    total = sum(c.size for c in cells)
+    if total != group_orders(n)[1]:
+        raise CellDecompositionError(
+            f"cell sizes sum to {total}, not |AGL({n},2)|")
+    return tuple(cells)
 
 
-def fiber_generators(a: BitMatrix, rng: random.Random | None = None,
-                     budget: int | None = None) -> list[AffineElement]:
-    """Witnesses (C, d) whose conjugation fixes the linear part a: the
-    sampled commutant units with d = 0, plus for each basis vector v of
-    Im(a xor I) one witness (I, d) with (a xor I) d = v. Conjugating (a, b)
-    by a witness moves b to C b xor (a xor I) d."""
-    n = a.rows
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
-    zero = BitVector(n, 0)
-    out = [AffineElement(n, c, zero) for c in commutant_units(a, rng, budget)]
-    axi = a ^ identity(n)
-    for v in image_basis(axi):
-        d = solve(axi, v)
-        if d is None:  # v is in the image by construction
-            raise RuntimeError(f"{v} not in the image of a xor I")
-        out.append(AffineElement(n, identity(n), d))
-    return out
+def affine_cells(n: int) -> list[ConjCell]:
+    """The conjugacy classes of AGL(n,2), one cell each, from the GL
+    canonical forms and the closed-form orbits on each fiber."""
+    if not 1 <= n <= 10:
+        raise ValueError(f"n={n} out of supported range 1..10")
+    return list(_affine_cells_cached(n))
 
+
+# --- exhaustive small-n provider --------------------------------------------
 
 def _mv_rows(rows: tuple[int, ...], v: int) -> int:
     out = 0
@@ -323,69 +288,6 @@ def _mv_rows(rows: tuple[int, ...], v: int) -> int:
             out |= 1 << i
     return out
 
-
-@functools.lru_cache(maxsize=None)
-def _affine_cells_cached(n: int, seed: int) -> tuple[ConjCell, ...]:
-    cells = []
-    for idx, cls in enumerate(gl_classes(n)):
-        rng = random.Random(seed * 1_000_003 + idx)
-        a = cls.rep
-        units = [u.row_bits for u in commutant_units(a, rng)]
-        im_rows = [v.bits for v in image_basis(a ^ identity(n))]
-        r = len(im_rows)
-
-        def reduce(b):
-            # im_rows is reduced echelon; clearing pivot bits canonicalizes
-            # the coset b xor Im(A xor I)
-            for row in im_rows:
-                if (b >> (row.bit_length() - 1)) & 1:
-                    b ^= row
-            return b
-
-        pivot_set = {row.bit_length() - 1 for row in im_rows}
-        free = [j for j in range(n) if j not in pivot_set]
-        reps = []
-        for m in range(1 << len(free)):
-            v = 0
-            for t, pos in enumerate(free):
-                if (m >> t) & 1:
-                    v |= 1 << pos
-            reps.append(v)
-
-        seen = set()
-        for start in reps:
-            if start in seen:
-                continue
-            orbit = {start}
-            queue = [start]
-            while queue:
-                b = queue.pop()
-                for rows in units:
-                    nb = reduce(_mv_rows(rows, b))
-                    if nb not in orbit:
-                        orbit.add(nb)
-                        queue.append(nb)
-            seen |= orbit
-            # every coset has 2^r elements, all reachable by translations
-            cells.append(ConjCell(
-                AffineElement(n, a, BitVector(n, min(orbit))),
-                cls.size * (len(orbit) << r)))
-    total = sum(c.size for c in cells)
-    if total != group_orders(n)[1]:
-        raise CellDecompositionError(
-            f"cell sizes sum to {total}, not |AGL({n},2)|")
-    return tuple(cells)
-
-
-def affine_cells(n: int, seed: int = DEFAULT_SEED) -> list[ConjCell]:
-    """Cell decomposition via GL canonical forms and fiber orbits; cells may
-    refine true conjugacy classes but always cover the group exactly."""
-    if not 1 <= n <= 10:
-        raise ValueError(f"n={n} out of supported range 1..10")
-    return list(_affine_cells_cached(n, seed))
-
-
-# --- exhaustive small-n provider --------------------------------------------
 
 def _mm_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     out = []

@@ -76,6 +76,23 @@ def test_threads_below_one_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_threads_rejected_before_cells_are_built(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "resolve_cells",
+                        lambda *args, **kwargs: built.append(args))
+    for args in (("count", "--n", "9", "--s", "3", "--k", "1"),
+                 ("verify", "--max-n", "9")):
+        assert run_cli(*args, "--threads", "0") == 2
+        assert "threads" in capsys.readouterr().err
+    assert built == []
+
+
+def test_classes_takes_no_threads(capsys, tmp_path):
+    assert run_cli("classes", "--n", "3", "--file", str(tmp_path / "c.txt"),
+                   "--threads", "2") == 2
+    capsys.readouterr()
+
+
 def test_internal_raises_exit_3(capsys, monkeypatch):
     # the library's invariant checks raise; the CLI maps them to exit 3
     monkeypatch.setattr(burnside, "_pair_partial_sums",

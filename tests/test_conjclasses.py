@@ -4,24 +4,29 @@ from collections import Counter
 import pytest
 
 from conftest import all_elements, all_matrices
+from helpers_orbits import coset_reducer, sampled_fiber_orbits
 from rmclass import conjclasses
 from rmclass.conjclasses import (
-    DEFAULT_SEED,
     CellDecompositionError,
     CellFormatError,
     ConjCell,
     affine_cells,
-    commutant_units,
     exhaustive_cells,
     export_cells,
-    fiber_generators,
     gl_classes,
     import_cells,
     irreducible_polys,
     poly_str,
 )
 from rmclass.gf2 import identity as identity_matrix, mat_mul, rank
-from rmclass.group import AffineElement, BitMatrix, BitVector, conjugate, group_orders
+from rmclass.group import (
+    AffineElement,
+    BitMatrix,
+    BitVector,
+    conjugate,
+    group_orders,
+    to_permutation,
+)
 
 
 def conjugacy_partition(elements, conjugators):
@@ -183,47 +188,110 @@ def test_affine_cells_refine_true_classes(n):
 def test_affine_cells_deterministic():
     import rmclass.conjclasses as cc
     build = cc._affine_cells_cached.__wrapped__  # bypass the cache
-    assert build(3, DEFAULT_SEED) == build(3, DEFAULT_SEED)
-    assert build(3, 7) == build(3, 7)
+    assert build(3) == build(3)
 
 
-def test_affine_cells_seed_changes_keep_cover():
-    for seed in (2, 3):
-        cells = affine_cells(4, seed=seed)
-        assert sum(c.size for c in cells) == group_orders(4)[1]
+def test_affine_cells_rebuild_is_identical_cover():
+    build = conjclasses._affine_cells_cached.__wrapped__
+    for n in (4, 5, 6):
+        cells = build(n)
+        assert cells == build(n) == tuple(affine_cells(n))
+        assert sum(c.size for c in cells) == group_orders(n)[1]
 
 
-def test_commutant_units_properties():
-    rng = random.Random(79)
-    for n in (2, 3, 4):
-        mats = all_matrices(n)
-        for _ in range(4):
-            a = mats[rng.randrange(len(mats))]
-            units = commutant_units(a, random.Random(5))
-            assert len({u.row_bits for u in units}) == len(units)
-            assert identity_matrix(n) in units
-            for u in units:
-                assert rank(u) == n
-                assert mat_mul(u, a) == mat_mul(a, u)
+# --- the closed-form fiber orbits against independent constructions --------
+
+def x_plus_1_partition(cls):
+    """Sizes of the companion blocks of (x+1)^t in the class rep."""
+    return dict(cls.assignment).get(0b11, ())
 
 
-def test_fiber_generators_fix_linear_part():
-    rng = random.Random(83)
-    for n in (2, 3, 4):
-        mats = all_matrices(n)
-        for _ in range(4):
-            a = mats[rng.randrange(len(mats))]
-            for h in fiber_generators(a, random.Random(9)):
-                assert mat_mul(h.a, a) == mat_mul(a, h.a)
-                g = AffineElement(n, a, BitVector(n, rng.randrange(1 << n)))
-                assert conjugate(h, g).a == a
+def claimed_orbits(cls, reduce):
+    """The closed-form orbits on V/Im(A xor I), as sets of canonical coset
+    members: a combination of the x+1 blocks' cyclic vectors belongs to the
+    orbit named by the largest block it uses (0 for the zero vector)."""
+    lam = x_plus_1_partition(cls)
+    starts = [sum(lam[:i]) for i in range(len(lam))]
+    orbits = {}
+    for combo in range(1 << len(lam)):
+        used = [i for i in range(len(lam)) if (combo >> i) & 1]
+        v = 0
+        for i in used:
+            v |= 1 << starts[i]
+        top = max((lam[i] for i in used), default=0)
+        orbits.setdefault(top, set()).add(reduce(v))
+    return {frozenset(o) for o in orbits.values()}
 
 
-def test_fiber_generators_raise_when_solve_fails(monkeypatch):
-    monkeypatch.setattr(conjclasses, "solve", lambda m, v: None)
-    a = BitMatrix.from_strings(["11", "01"])  # a xor I has rank 1
-    with pytest.raises(RuntimeError, match="image"):
-        fiber_generators(a, random.Random(9))
+def cells_by_linear_part(n):
+    out = {}
+    for c in affine_cells(n):
+        out.setdefault(c.rep.a.row_bits, []).append(c)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fiber_orbits_match_sampled_walk(n):
+    # each sampled orbit lies inside a true orbit, so equality with the
+    # cells shows that every cell's members are mutually conjugate
+    by_a = cells_by_linear_part(n)
+    for idx, cls in enumerate(gl_classes(n)):
+        a = cls.rep
+        reduce = coset_reducer(a)
+        sampled = sampled_fiber_orbits(a, random.Random(1_000_003 + idx))
+        assert set(sampled) == claimed_orbits(cls, reduce)
+        owner = {b: orbit for orbit in sampled for b in orbit}
+        cells = by_a.pop(a.row_bits)
+        hit = [owner[reduce(c.rep.b.bits)] for c in cells]
+        assert len(set(hit)) == len(hit) == len(sampled)
+        image_rank = rank(a ^ identity_matrix(n))
+        for c, orbit in zip(cells, hit):
+            assert c.size == cls.size * len(orbit) << image_rank
+    assert not by_a  # every cell's linear part is a class rep
+
+
+def poly_at(p, a):
+    n = a.rows
+    acc = BitMatrix(n, n, (0,) * n)
+    power = identity_matrix(n)
+    while p:
+        if p & 1:
+            acc = acc ^ power
+        power = mat_mul(power, a)
+        p >>= 1
+    return acc
+
+
+def class_invariant(cell):
+    """Size, the ranks of p(A)^j for every irreducible p (they fix the GL
+    class of A), and the cycle type of g on points."""
+    g = cell.rep
+    ranks = []
+    for p in irreducible_polys(g.n):
+        m = poly_at(p, g.a)
+        x = m
+        for _ in range(g.n):
+            ranks.append(rank(x))
+            x = mat_mul(x, m)
+    return (cell.size, tuple(ranks),
+            tuple(sorted(to_permutation(g).cycle_type())))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_affine_cells_are_the_exhaustive_classes(n):
+    true = Counter(class_invariant(c) for c in exhaustive_cells(n))
+    # the invariant tells every true class apart, so equal multisets put
+    # each cell in its own class with that class's size
+    assert max(true.values()) == 1
+    assert Counter(class_invariant(c) for c in affine_cells(n)) == true
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_cells_per_gl_class(n):
+    by_a = cells_by_linear_part(n)
+    for cls in gl_classes(n):
+        parts = set(x_plus_1_partition(cls))
+        assert len(by_a[cls.rep.row_bits]) == 1 + len(parts)
 
 
 def test_exhaustive_cells_size_sum_raises(monkeypatch):

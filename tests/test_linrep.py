@@ -193,6 +193,10 @@ def check_fixdim_invariants(g):
     # on the full space, the fixed functions are those constant on each
     # cycle of g on the points of F_2^n
     assert fix[(-1, n)] == len(to_permutation(g).cycle_type())
+    # duality: the quotient (n-1-s, n-1-k] carries the contragredient
+    # action of g, which fixes as many vectors
+    for (k, s), f in fix.items():
+        assert f == fix[(n - 1 - s, n - 1 - k)], (g, k, s)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -204,6 +208,13 @@ def test_carried_echelon_invariants_all_cells(n):
 def test_carried_echelon_invariants_n8_first_cells():
     for cell in affine_cells(8)[:50]:
         check_fixdim_invariants(cell.rep)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_fixdim_invariants_spaced_cells(n):
+    cells = affine_cells(n)
+    for i in range(20):
+        check_fixdim_invariants(cells[i * len(cells) // 20].rep)
 
 
 def test_fixed_space_echelon_misuse_raises():
