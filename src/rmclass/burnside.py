@@ -46,7 +46,7 @@ class CountResult:
 def fix_count(g: AffineElement, s: int, k: int) -> int:
     """Number of coefficient vectors fixed by g: 2^(d - rank(tau xor I))."""
     check_params(g.n, s, k)
-    return 1 << fixed_space_log2(monomial_images(g, s), g.n, s, k)
+    return 1 << fixed_space_log2(monomial_images(g, s, k), g.n, s, k)
 
 
 def resolve_cells(n: int, provider: str = "canonical", *,
@@ -70,18 +70,15 @@ def resolve_cells(n: int, provider: str = "canonical", *,
 def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
                        cells: list[ConjCell]) -> list[int]:
     """Size-weighted fixed-point sums of a slice of cells, one per pair.
-    Pairs are visited in (k, s) order, so each cell runs one elimination
-    per k that every window (k, s] extends."""
+    Each cell runs one elimination, for the smallest k asked, that every
+    window (k, s] reads its rank from, in any pair order."""
     max_s = max(s for _, s in pairs)
-    walk = sorted(range(len(pairs)), key=pairs.__getitem__)
+    min_k = min(k for k, _ in pairs)
     sums = [0] * len(pairs)
     for cell in cells:
-        images = monomial_images(cell.rep, max_s)
-        echelon = None
-        for i in walk:
-            k, s = pairs[i]
-            if echelon is None or echelon.k != k:
-                echelon = Echelon(k)
+        images = monomial_images(cell.rep, max_s, min_k)
+        echelon = Echelon(min_k)
+        for i, (k, s) in enumerate(pairs):
             sums[i] += cell.size << fixed_space_log2(images, n, s, k, echelon)
     return sums
 

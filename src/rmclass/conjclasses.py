@@ -24,8 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .gf2 import BitMatrix, BitVector, SingularMatrixError, inverse
-from .group import AffineElement, group_orders
+from .gf2 import BitMatrix, BitVector, SingularMatrixError
+from .group import (
+    AffineElement,
+    Permutation,
+    from_permutation,
+    group_orders,
+    to_permutation,
+)
 
 
 class CellFormatError(ValueError):
@@ -281,90 +287,71 @@ def affine_cells(n: int) -> list[ConjCell]:
 
 # --- exhaustive small-n provider --------------------------------------------
 
-def _mv_rows(rows: tuple[int, ...], v: int) -> int:
-    out = 0
-    for i, r in enumerate(rows):
-        if (r & v).bit_count() & 1:
-            out |= 1 << i
-    return out
-
-
-def _mm_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for row in a:
-        acc = 0
-        m = row
-        while m:
-            low = m & -m
-            acc ^= b[low.bit_length() - 1]
-            m ^= low
-        out.append(acc)
-    return tuple(out)
-
-
-def _agl_generators(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """(rows, b) pairs generating AGL(n,2): translation by e_1, and for
-    n >= 2 the coordinate cycle and one transvection."""
+def _agl_generators(n: int) -> list[AffineElement]:
+    """Elements generating AGL(n,2): translation by e_1, and for n >= 2 the
+    coordinate cycle and one transvection."""
     ident_rows = tuple(1 << i for i in range(n))
     gens = [(ident_rows, 1)]
     if n >= 2:
         cycle = tuple(1 << ((i - 1) % n) for i in range(n))
         trans = (0b11,) + ident_rows[1:]
         gens += [(cycle, 0), (trans, 0)]
-    return gens
+    return [AffineElement(n, BitMatrix(n, n, rows), BitVector(n, b))
+            for rows, b in gens]
 
 
 @functools.lru_cache(maxsize=None)
 def _exhaustive_cells_cached(n: int) -> tuple[ConjCell, ...]:
+    # an element is its table of point images (to_permutation), 2^n bytes;
+    # padded with the identity on 2^n..255 it is a bytes.translate table,
+    # so a.translate(g + pad) is g o a
     order = group_orders(n)[1]
-    gens = _agl_generators(n)
-    ident_rows = tuple(1 << i for i in range(n))
+    size = 1 << n
+    pad = bytes(range(size, 256))
+    gens = []
+    for g in _agl_generators(n):
+        table = bytes(to_permutation(g).images)
+        inv = bytearray(size)
+        for x, y in enumerate(table):
+            inv[y] = x
+        gens.append((table + pad, bytes(inv)))
 
     # close the generators into the full group; the size check proves the
     # generating set is complete, which the class split below relies on
-    elements = {(ident_rows, 0)}
-    queue = [(ident_rows, 0)]
+    ident = bytes(range(size))
+    elements = {ident}
+    queue = [ident]
     while queue:
-        arows, ab = queue.pop()
-        for grows, gb in gens:
-            nrows = _mm_rows(grows, arows)
-            nb = _mv_rows(grows, ab) ^ gb
-            key = (nrows, nb)
-            if key not in elements:
-                elements.add(key)
-                queue.append(key)
+        a = queue.pop()
+        for g, _ in gens:
+            c = a.translate(g)
+            if c not in elements:
+                elements.add(c)
+                queue.append(c)
     if len(elements) != order:
         raise RuntimeError(
             f"generators produced {len(elements)} of {order} elements")
 
-    # conjugating by a generating set reaches the whole conjugacy class
-    conj = []
-    for grows, gb in gens:
-        ginv = inverse(BitMatrix(n, n, grows)).row_bits
-        conj.append((grows, ginv, gb))
-
+    # conjugating by a generating set reaches the whole conjugacy class;
+    # ginv.translate(a + pad).translate(g) is g o a o g^-1; each class
+    # found leaves the set, so what stays is not yet in a class
     cells = []
-    assigned = set()
     for key in sorted(elements):
-        if key in assigned:
+        if key not in elements:
             continue
         cls = {key}
         queue = [key]
         while queue:
-            arows, ab = queue.pop()
-            for crows, cinv, d in conj:
-                mrows = _mm_rows(_mm_rows(crows, arows), cinv)
-                mxi = tuple(r ^ (1 << i) for i, r in enumerate(mrows))
-                nb = _mv_rows(mxi, d) ^ _mv_rows(crows, ab)
-                nkey = (mrows, nb)
-                if nkey not in cls:
-                    cls.add(nkey)
-                    queue.append(nkey)
-        assigned |= cls
-        rrows, rb = min(cls)
-        cells.append(ConjCell(
-            AffineElement(n, BitMatrix(n, n, rrows), BitVector(n, rb)),
-            len(cls)))
+            a = queue.pop() + pad
+            for g, ginv in gens:
+                c = ginv.translate(a).translate(g)
+                if c not in cls:
+                    cls.add(c)
+                    queue.append(c)
+        elements -= cls
+        # key is the smallest table of its class; only the reps are decoded
+        cells.append(ConjCell(from_permutation(Permutation(n, tuple(key))),
+                              len(cls)))
     if sum(c.size for c in cells) != order:
         raise RuntimeError(
             f"class sizes sum to {sum(c.size for c in cells)}, not {order}")

@@ -202,26 +202,37 @@ def transpose(m: BitMatrix) -> BitMatrix:
 
 
 def rank_of_rows(rows: Iterable[int],
-                 pivots: dict[int, int] | None = None) -> int:
+                 pivots: dict[int, int] | None = None,
+                 bands: Sequence[int] = (-1,)) -> int:
     """Rank of a set of bit-packed rows. Consumes nothing; rows are ints.
 
     This is the one elimination loop of the package: each row is reduced by
-    the pivot rows (pivot = highest set bit) and, if anything is left, kept
-    as a new pivot. Given a pivot dict {pivot bit: row}, it extends that
-    dict in place and returns how much the rank grew, so an echelon form
-    can be built up one batch of rows at a time."""
+    the pivot rows and, if anything is left, kept as a new pivot. Given a
+    pivot dict {pivot bit: row}, it extends that dict in place and returns
+    how much the rank grew, so an echelon form can be built up one batch of
+    rows at a time.
+
+    bands are disjoint bit masks, most significant first, that together
+    cover every bit of the rows. A row's pivot is its highest set bit in
+    the first band it meets; the default, one band of all bits, makes the
+    pivot the highest set bit. A pivot dict must be extended with the same
+    band order each time (a prefix may be dropped where no row reaches it)."""
     if pivots is None:
         pivots = {}
     r = 0
     for row in rows:
-        while row:
-            b = row.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = row
+        for band in bands:
+            part = row & band
+            while part:
+                p = pivots.get(part.bit_length() - 1)
+                if p is None:
+                    break
+                row ^= p
+                part = row & band
+            if part:
+                pivots[part.bit_length() - 1] = row
                 r += 1
                 break
-            row ^= p
     return r
 
 

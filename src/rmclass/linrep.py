@@ -13,6 +13,7 @@ simultaneous row/column permutation), see fixed_space_log2.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .anf import (
@@ -55,27 +56,39 @@ class TauMatrix:
         return self.matrix.to_strings()
 
 
-def monomial_images(g: AffineElement, max_degree: int | None = None) -> list[int]:
+def monomial_images(g: AffineElement, max_degree: int | None = None,
+                    k: int = -1) -> list[int]:
     """Dense term sets of the substituted monomials: entry u is the ANF of
     x -> m_u(Ax xor b) where m_u is the monomial with mask u. Computed by
     dynamic programming over the subset lattice (image of u = image of u
-    minus its lowest variable, times one more affine form). Entries of
-    degree above max_degree are left as 0 and must not be read."""
+    minus its lowest variable, times one more affine form). Only the entries
+    that a window (k, max_degree] reads are filled, with those they are
+    built from (see _image_masks); the others are left as 0 and must not be
+    read."""
     n = g.n
     if max_degree is None:
         max_degree = n
-    size = 1 << n
-    images = [0] * size
+    images = [0] * (1 << n)
     images[0] = 1
     row_bits = g.a.row_bits
-    b = g.b
-    for u in range(1, size):
-        if u.bit_count() > max_degree:
-            continue
+    b = g.b.bits
+    for u in _image_masks(n, max_degree, k):
         low = u & -u
         j = low.bit_length() - 1
-        images[u] = mul_by_linear(images[u ^ low], row_bits[j], b[j], n)
+        images[u] = mul_by_linear(images[u ^ low], row_bits[j], (b >> j) & 1,
+                                  n)
     return images
+
+
+@functools.lru_cache(maxsize=None)
+def _image_masks(n: int, top: int, k: int) -> tuple[int, ...]:
+    """The masks u != 0 whose images a window (k, top] needs, increasing.
+    Image u is built from u minus its lowest variable, so u is needed iff
+    it can be grown to a degree in (k, top] by adding variables below its
+    lowest one: |u| <= top and |u| + trailing zeros(u) > k."""
+    return tuple(u for u in range(1, 1 << n)
+                 if u.bit_count() <= top
+                 and u.bit_count() + (u & -u).bit_length() - 1 > k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,44 +98,69 @@ def _masks_by_degree(n: int) -> tuple[tuple[int, ...], ...]:
                  for i in range(n + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _degree_bands(n: int) -> tuple[int, ...]:
+    """entry j = the bit mask of the monomials of degree n - j: the degree
+    masks from the top degree down, as rank_of_rows takes its bands."""
+    return tuple(_window_indicator(n, i, i - 1) for i in range(n, -1, -1))
+
+
 class Echelon:
     """Elimination state of tau xor I on the window (k, top], carried from
-    one window (k, s] to the next larger s. An affine substitution sends a
-    degree-i monomial to terms of degree <= i, so the rows of (k, s] are the
-    rows of (k, s'] of degree <= s, with zeros in the columns above s: the
-    rank of (k, s'] is reached by adding only the rows of degrees s+1..s'."""
+    one window to the next. Rows are added in increasing degree and each
+    row's pivot is chosen degree-major: its highest-degree nonzero part,
+    then the highest bit inside that part. An affine substitution sends a
+    degree-i monomial to terms of degree <= i, so a row of degree <= k' is
+    zero on the columns above k'; the pivot rows of degree above k' are
+    then a basis of the projection onto those columns. So after the rows of
+    degrees (k, s] are in, rank(tau xor I on (k', s]) is the number of
+    pivots of degree in (k', s], for every k' >= k: one elimination serves
+    every window."""
 
     def __init__(self, k: int):
         self.k = k
-        self.pivots: dict[int, int] = {}  # pivot bit -> row; rank = size
+        self.pivots: dict[int, int] = {}  # pivot bit -> row
         self.top = k  # highest degree whose rows have been added
+        # s -> pivots of each degree once the rows of degree s were in
+        self.at: dict[int, tuple[int, ...]] = {}
+
+    def extend(self, images: list[int], n: int, s: int) -> None:
+        """Add the rows of degrees top+1..s, recording the pivot counts per
+        degree after each one."""
+        per_degree = list(self.at.get(self.top, (0,) * (n + 1)))
+        # the rows added so far have no terms above their own degree, so
+        # one mask (drop degrees <= k) serves every s
+        window = _window_indicator(n, n, self.k)
+        bands = _degree_bands(n)
+        for i in range(self.top + 1, s + 1):
+            grown = rank_of_rows(
+                [(images[u] & window) ^ (1 << u)
+                 for u in _masks_by_degree(n)[i]],
+                self.pivots, bands[n - i:n - self.k])
+            # new pivots are the last ones inserted into the dict
+            for bit in itertools.islice(reversed(self.pivots), grown):
+                per_degree[bit.bit_count()] += 1
+            self.at[i] = tuple(per_degree)
+        self.top = max(self.top, s)
 
 
 def fixed_space_log2(images: list[int], n: int, s: int, k: int,
                      echelon: Echelon | None = None) -> int:
     """log2 of the number of coefficient vectors fixed by the element whose
     monomial images are given: d - rank(tau xor I) on the window (k, s].
-    An echelon for this k (empty if none is given) is extended in place by
-    the rows of degrees top+1..s. Rows are kept in monomial-mask positions,
-    not the canonical order: the same permutation of rows and columns
-    preserves rank."""
+    An echelon (a fresh one if none is given) built for any k' <= k is
+    extended in place when s is above its top degree; windows may be asked
+    in any order. Rows are kept in monomial-mask positions, not the
+    canonical order: the same permutation of rows and columns preserves
+    rank."""
     d = space_dimension(n, s, k)
     if echelon is None:
         echelon = Echelon(k)
-    elif echelon.k != k:
-        raise ValueError(f"echelon built for k={echelon.k}, not k={k}")
-    if s < echelon.top:
-        raise ValueError(
-            f"echelon already holds degrees up to {echelon.top} > s={s}")
-    # the rows added so far have no terms above their own degree, so one
-    # mask per k (drop degrees <= k) serves every s
-    window = _window_indicator(n, n, k)
-    rows = [(images[u] & window) ^ (1 << u)
-            for i in range(echelon.top + 1, s + 1)
-            for u in _masks_by_degree(n)[i]]
-    rank_of_rows(rows, echelon.pivots)
-    echelon.top = s
-    return d - len(echelon.pivots)
+    elif echelon.k > k:
+        raise ValueError(f"echelon built for k={echelon.k} > k={k}")
+    if s > echelon.top:
+        echelon.extend(images, n, s)
+    return d - sum(echelon.at[s][k + 1:])
 
 
 def tau_matrix(g: AffineElement, s: int, k: int) -> TauMatrix:

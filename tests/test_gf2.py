@@ -88,6 +88,19 @@ def test_rank_of_rows_extends_pivots_in_place():
         assert rank_of_rows(rows, pivots) == 0
 
 
+def test_rank_of_rows_bands_pick_pivot_in_first_band():
+    rng = random.Random(17)
+    # interleaved bands, so band order and bit order disagree
+    bands = (0b100100100100, 0b010010010010, 0b001001001001)
+    for _ in range(30):
+        rows = [rng.randrange(1 << 12) for _ in range(rng.randrange(1, 16))]
+        pivots = {}
+        assert rank_of_rows(rows, pivots, bands) == rank_of_rows(rows)
+        for b, row in pivots.items():
+            first = next(band for band in bands if row & band)
+            assert (row & first).bit_length() - 1 == b
+
+
 def test_mat_mul_identity_and_square():
     unreachable = BitMatrix.from_strings(TAU_ROWS_UNREACHABLE)
     assert mat_mul(identity(8), unreachable) == unreachable
