@@ -12,18 +12,14 @@ from .anf import (
     CoefficientVector,
     DegreeOutOfRangeError,
     Monomial,
-    anf_from_truth_table,
     anf_of_cv,
     cv,
     evaluate,
-    format_anf,
     monomial_order,
-    parse_anf,
     project,
     space_dimension,
     substitute,
     substitute_anf,
-    truth_table,
 )
 from .burnside import (
     CountResult,
@@ -49,15 +45,10 @@ from .gf2 import (
     BitVector,
     SingularMatrixError,
     identity,
-    image_basis,
     inverse,
     mat_mul,
     mat_vec,
-    nullspace_basis,
     rank,
-    solve,
-    solve_commutant,
-    transpose,
 )
 from .group import (
     AffineElement,
@@ -67,7 +58,6 @@ from .group import (
     compose,
     conjugate,
     element_from_text,
-    element_to_text,
     from_permutation,
     group_orders,
     index_of_point,
@@ -75,6 +65,6 @@ from .group import (
     random_element,
     to_permutation,
 )
-from .linrep import TauMatrix, dimension, tau_matrix
+from .linrep import TauMatrix, tau_matrix
 
 __version__ = "0.1.0"

@@ -7,9 +7,7 @@ expands with the idempotency x_j^2 = x_j, i.e. the product of two monomials
 is the union of their masks.
 
 Point vectors use the same layout (bit t = value of x_{t+1}), so evaluating
-a monomial at a point is a subset test. The big-endian integer convention
-for points (coordinate 1 = most significant bit of the index) lives in
-group.py; here only truth tables, indexed by that convention, touch it.
+a monomial at a point is a subset test.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .gf2 import BitVector
-from .group import AffineElement, point_of_index
+from .group import AffineElement
 
 
 class DegreeOutOfRangeError(ValueError):
@@ -100,14 +98,6 @@ class Anf:
             raise ValueError("terms out of range")
 
     @classmethod
-    def zero(cls, n: int) -> "Anf":
-        return cls(n, 0)
-
-    @classmethod
-    def one(cls, n: int) -> "Anf":
-        return cls(n, 1)
-
-    @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Anf":
         terms = 0
         for u in masks:
@@ -115,9 +105,6 @@ class Anf:
                 raise ValueError(f"mask {u} out of range for n={n}")
             terms ^= 1 << u
         return cls(n, terms)
-
-    def monomials(self) -> list[Monomial]:
-        return [Monomial(self.n, u) for u in self.masks()]
 
     def masks(self) -> list[int]:
         out = []
@@ -132,31 +119,13 @@ class Anf:
         """Max term degree; -1 for the zero polynomial."""
         return max((u.bit_count() for u in self.masks()), default=-1)
 
-    def min_degree(self) -> int:
-        return min((u.bit_count() for u in self.masks()), default=-1)
-
     def contains(self, mask: int) -> bool:
         return bool((self.terms >> mask) & 1)
-
-    def is_zero(self) -> bool:
-        return self.terms == 0
 
     def __xor__(self, other: "Anf") -> "Anf":
         if self.n != other.n:
             raise ValueError("variable count mismatch")
         return Anf(self.n, self.terms ^ other.terms)
-
-    def __mul__(self, other: "Anf") -> "Anf":
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        acc = 0
-        for u in self.masks():
-            for v in other.masks():
-                acc ^= 1 << (u | v)
-        return Anf(self.n, acc)
-
-    def __str__(self) -> str:
-        return format_anf(self)
 
 
 @dataclass(frozen=True)
@@ -288,8 +257,6 @@ def substitute_anf(f: Anf, g: "AffineElement") -> Anf:
     return Anf(f.n, acc)
 
 
-# --- truth tables ---------------------------------------------------------
-
 def evaluate(f: Anf, x: BitVector) -> int:
     """Value of f at a point given in coordinate layout (bit t = x_{t+1})."""
     if x.n != f.n:
@@ -302,79 +269,3 @@ def evaluate(f: Anf, x: BitVector) -> int:
         ind |= ind << low
         v ^= low
     return (f.terms & ind).bit_count() & 1
-
-
-def truth_table(f: Anf) -> BitVector:
-    """Truth table of f as a 2**n-bit vector, bit i = f at the point whose
-    big-endian expansion is i."""
-    n = f.n
-    tbl = f.terms
-    # zeta transform over the subset lattice: tbl[v] = xor of terms u <= v
-    for t in range(n):
-        has = _var_masks(n)[t]
-        tbl ^= (tbl & ~has) << (1 << t)
-    size = 1 << n
-    out = 0
-    for i in range(size):
-        if (tbl >> point_of_index(i, n).bits) & 1:
-            out |= 1 << i
-    return BitVector(size, out)
-
-
-def anf_from_truth_table(t: BitVector) -> Anf:
-    """Binary Moebius transform of a truth table (inverse of truth_table)."""
-    size = t.n
-    n = size.bit_length() - 1
-    if size < 1 or (1 << n) != size:
-        raise ValueError(f"table length {size} is not a power of two")
-    tbl = 0
-    for i in range(size):
-        if t[i]:
-            tbl |= 1 << point_of_index(i, n).bits
-    # the GF(2) Moebius transform is the same butterfly as the zeta transform
-    for tt in range(n):
-        has = _var_masks(n)[tt]
-        tbl ^= (tbl & ~has) << (1 << tt)
-    return Anf(n, tbl)
-
-
-# --- text form ------------------------------------------------------------
-
-def format_anf(f: Anf) -> str:
-    """Render as `x1*x2 + x3 + 1`; xor is written `+`; zero is `0`."""
-    if f.is_zero():
-        return "0"
-    monos = sorted(f.monomials(), key=lambda m: (-m.degree, m.variables))
-    return " + ".join(str(m) for m in monos)
-
-
-def parse_anf(text: str, n: int) -> Anf:
-    """Parse the format_anf syntax; unknown variables or malformed terms
-    raise ValueError. Repeated equal terms cancel (xor semantics)."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polynomial text")
-    terms = 0
-    for raw in text.split("+"):
-        term = raw.strip()
-        if not term:
-            raise ValueError(f"empty term in {text!r}")
-        if term == "0":
-            continue
-        if term == "1":
-            terms ^= 1
-            continue
-        mask = 0
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if not factor.startswith("x"):
-                raise ValueError(f"bad factor {factor!r}")
-            try:
-                v = int(factor[1:])
-            except ValueError:
-                raise ValueError(f"bad factor {factor!r}") from None
-            if not 1 <= v <= n:
-                raise ValueError(f"variable {factor!r} out of range for n={n}")
-            mask |= 1 << (v - 1)
-        terms ^= 1 << mask
-    return Anf(n, terms)

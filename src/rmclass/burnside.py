@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .anf import check_params, space_dimension
+from .anf import check_params
 from .conjclasses import (
     CellDecompositionError,
     ConjCell,
@@ -49,9 +49,10 @@ def fix_count(g: AffineElement, s: int, k: int) -> int:
     return 1 << fixed_space_log2(monomial_images(g, s, k), g.n, s, k)
 
 
-def resolve_cells(n: int, provider: str = "canonical", *,
+def resolve_cells(n: int | None, provider: str = "canonical", *,
                   file=None) -> tuple[list[ConjCell], str]:
-    """Map a provider tag to a validated cell list."""
+    """Map a provider tag to a validated cell list. n may be None for the
+    import provider only: the file's own n is then accepted."""
     if provider == "exhaustive":
         return exhaustive_cells(n), provider
     if provider == "canonical":
@@ -60,7 +61,7 @@ def resolve_cells(n: int, provider: str = "canonical", *,
         if file is None:
             raise ValueError("the import provider requires a cell file")
         cells = import_cells(file)
-        if cells[0].rep.n != n:
+        if n is not None and cells[0].rep.n != n:
             raise ValueError(
                 f"cell file is for n={cells[0].rep.n}, requested n={n}")
         return cells, provider

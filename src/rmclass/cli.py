@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .anf import check_params
 from .burnside import (
+    PROVIDERS,
     InexactDivisionError,
     count_pairs,
     resolve_cells,
@@ -94,7 +95,7 @@ def load_oracle(path=None) -> OracleTable:
     return OracleTable(tuple(entries))
 
 
-def _acquire_cells(n: int, args):
+def _acquire_cells(n: int | None, args):
     """Provider resolution with user-input failures downgraded to usage."""
     try:
         return resolve_cells(n, args.provider, file=args.file)
@@ -120,15 +121,23 @@ def cmd_verify(args) -> int:
     wanted = [e for e in oracle.entries
               if e.n <= args.max_n and (args.table is None
                                         or e.table == args.table)]
+    imported = {}
+    if args.provider == "import":
+        # a cell file holds one n: read it once and check only that n's rows
+        cells, _tag = _acquire_cells(None, args)
+        file_n = cells[0].rep.n
+        imported[file_n] = cells
+        wanted = [e for e in wanted if e.n == file_n]
     if not wanted:
         raise _UsageError(
             f"no oracle entries with n <= {args.max_n}"
-            + (f" in table {args.table}" if args.table else ""))
+            + (f" in table {args.table}" if args.table else "")
+            + (f" for the cell file's n={file_n}" if imported else ""))
     failures = 0
     for n in sorted({e.n for e in wanted}):
         group = [e for e in wanted if e.n == n]
         pairs = sorted({(e.k, e.s) for e in group})
-        cells, _tag = _acquire_cells(n, args)
+        cells = imported.get(n) or _acquire_cells(n, args)[0]
         results = count_pairs(n, pairs, threads=args.threads, cells=cells)
         for e in group:
             got = results[(e.k, e.s)].count
@@ -191,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, threads=True):
         p.add_argument("--provider", default="canonical",
-                       choices=("exhaustive", "canonical", "import"),
+                       choices=PROVIDERS,
                        help="cell decomposition; import checks only that "
                             "the cell sizes cover the group, so a bad file "
                             "can give a wrong count with exit 0 or an "

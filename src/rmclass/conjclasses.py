@@ -97,16 +97,6 @@ def _poly_pow(p: int, e: int) -> int:
     return r
 
 
-def poly_str(p: int) -> str:
-    if p == 0:
-        return "0"
-    parts = []
-    for i in range(p.bit_length() - 1, -1, -1):
-        if (p >> i) & 1:
-            parts.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-    return "+".join(parts)
-
-
 @functools.lru_cache(maxsize=None)
 def irreducible_polys(max_degree: int) -> tuple[int, ...]:
     """All monic irreducibles of degree 1..max_degree except p(x) = x,

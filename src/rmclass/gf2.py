@@ -55,29 +55,8 @@ class BitVector:
             raise ValueError("length mismatch")
         return BitVector(self.n, self.bits ^ other.bits)
 
-    def dot(self, other: "BitVector") -> int:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.entries())
-
-
-def zero_vector(n: int) -> BitVector:
-    return BitVector(n, 0)
-
-
-def unit_vector(n: int, i: int) -> BitVector:
-    if not 0 <= i < n:
-        raise ValueError(f"unit index {i} out of range for length {n}")
-    return BitVector(n, 1 << i)
 
 
 @dataclass(frozen=True)
@@ -124,11 +103,6 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_bits[i])
 
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.row_bits[i] >> j) & 1
-
     def column(self, j: int) -> BitVector:
         bits = 0
         for i, r in enumerate(self.row_bits):
@@ -152,10 +126,6 @@ class BitMatrix:
 
     def __str__(self) -> str:
         return "\n".join(self.to_strings())
-
-
-def zero_matrix(rows: int, cols: int) -> BitMatrix:
-    return BitMatrix(rows, cols, (0,) * rows)
 
 
 def identity(n: int) -> BitMatrix:
@@ -188,17 +158,6 @@ def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
         if (rbits & v.bits).bit_count() & 1:
             bits |= 1 << i
     return BitVector(m.rows, bits)
-
-
-def transpose(m: BitMatrix) -> BitMatrix:
-    cols = [0] * m.cols
-    for i, rbits in enumerate(m.row_bits):
-        r = rbits
-        while r:
-            t = r & -r
-            cols[t.bit_length() - 1] |= 1 << i
-            r ^= t
-    return BitMatrix(m.cols, m.rows, tuple(cols))
 
 
 def rank_of_rows(rows: Iterable[int],
@@ -255,27 +214,6 @@ def inverse(m: BitMatrix) -> BitMatrix:
     return BitMatrix(n, n, tuple(r & low for r in reversed(rows)))
 
 
-def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
-    """One solution x of m·x = v, or None if the system is inconsistent."""
-    if m.rows != v.n:
-        raise ValueError("dimension mismatch")
-    # augmented rows: the right-hand side is bit 0, column j is bit j + 1;
-    # a row reduced to the bare right-hand side 1 means 0 = 1
-    pivots: dict[int, int] = {}
-    rank_of_rows(((r << 1) | ((v.bits >> i) & 1)
-                  for i, r in enumerate(m.row_bits)), pivots)
-    if 0 in pivots:
-        return None
-    # free variables are 0; each pivot equation only involves lower bits,
-    # so settle pivots from low bit to high
-    x = 0
-    for b in sorted(pivots):
-        row = pivots[b]
-        if ((row >> 1) & x).bit_count() & 1 != row & 1:
-            x |= 1 << (b - 1)
-    return BitVector(m.cols, x)
-
-
 def _rref_rows(rows: list[int]) -> list[int]:
     """Reduced row echelon form of bit-packed rows (pivot = highest set bit),
     returned sorted by pivot descending. Deterministic for any input order."""
@@ -288,61 +226,3 @@ def _rref_rows(rows: list[int]) -> list[int]:
             if b2 > b and (pivots[b2] >> b) & 1:
                 pivots[b2] ^= row
     return [pivots[b] for b in sorted(pivots, reverse=True)]
-
-
-def nullspace_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of {x : m·x = 0}, in reduced echelon normal form."""
-    n = m.cols
-    pivots: dict[int, int] = {}
-    rank_of_rows(m.row_bits, pivots)
-    basis = []
-    for f in (j for j in range(n) if j not in pivots):
-        # start with x_f = 1, solve pivot equations from low to high bit
-        x = 1 << f
-        for b in sorted(pivots):
-            if (pivots[b] & x).bit_count() & 1:
-                x |= 1 << b
-        basis.append(x)
-    return [BitVector(n, b) for b in _rref_rows(basis)]
-
-
-def image_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of the column space, in reduced echelon normal form."""
-    cols = transpose(m)
-    return [BitVector(m.rows, b) for b in _rref_rows(list(cols.row_bits))]
-
-
-def solve_commutant(a: BitMatrix) -> list[BitMatrix]:
-    """Basis of the commutant {X : X·A == A·X}, as the kernel of the linear
-    map X -> XA xor AX on the n^2-dimensional space of matrices.
-
-    Output is normalized to reduced echelon form over the flattened
-    coordinates (row-major, entry (i,j) -> bit i*n+j), so it is deterministic.
-    """
-    if not a.is_square():
-        raise ValueError("commutant of non-square matrix")
-    n = a.rows
-    at = transpose(a)
-    # equation for result entry (i,j): sum_b X[i][b]*A[b][j] + sum_c A[i][c]*X[c][j] = 0
-    eqs = []
-    for i in range(n):
-        for j in range(n):
-            row = 0
-            colj = at.row_bits[j]  # bits b where A[b][j] = 1
-            c = colj
-            while c:
-                t = c & -c
-                row ^= 1 << (i * n + (t.bit_length() - 1))
-                c ^= t
-            r = a.row_bits[i]  # bits c where A[i][c] = 1
-            while r:
-                t = r & -r
-                row ^= 1 << ((t.bit_length() - 1) * n + j)
-                r ^= t
-            eqs.append(row)
-    kern = nullspace_basis(BitMatrix(n * n, n * n, tuple(eqs)))
-    out = []
-    for v in kern:
-        rows = tuple((v.bits >> (i * n)) & ((1 << n) - 1) for i in range(n))
-        out.append(BitMatrix(n, n, rows))
-    return out

@@ -60,12 +60,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i]
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation(self.n, tuple(self.images[j] for j in other.images))
-
     def cycle_type(self) -> tuple[int, ...]:
         seen = [False] * len(self.images)
         lens = []
@@ -190,11 +184,6 @@ def random_element(n: int, rng: random.Random) -> AffineElement:
         m = BitMatrix(n, n, rows)
         if rank(m) == n:
             return AffineElement(n, m, BitVector(n, rng.getrandbits(n)))
-
-
-def element_to_text(g: AffineElement) -> str:
-    """n, then the n rows of A as 0/1 strings, then b."""
-    return str(g) + "\n"
 
 
 def element_from_text(text: str) -> AffineElement:

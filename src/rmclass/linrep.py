@@ -17,22 +17,15 @@ import itertools
 from dataclasses import dataclass
 
 from .anf import (
-    Anf,
-    CoefficientVector,
     _window_indicator,
-    anf_of_cv,
     check_params,
-    cv,
     monomial_order,
     mul_by_linear,
     space_dimension,
     substitute,
 )
-from .gf2 import BitMatrix, mat_vec, rank, rank_of_rows
+from .gf2 import BitMatrix, rank, rank_of_rows
 from .group import AffineElement
-
-
-dimension = space_dimension  # the size of the coefficient space
 
 
 @dataclass(frozen=True)
@@ -182,9 +175,3 @@ def tau_matrix(g: AffineElement, s: int, k: int) -> TauMatrix:
             img ^= low
     return TauMatrix(n, s, k, BitMatrix(d, d, tuple(rows)), g)
 
-
-def act_on_coefficients(t: TauMatrix, f: Anf) -> Anf:
-    """Apply the matrix to a function of the window: the encoded form of
-    f(Ax xor b) reduced mod degrees <= k. Convenience for tests and CLI."""
-    c = cv(f, t.s, t.k)
-    return anf_of_cv(CoefficientVector(t.n, t.s, t.k, mat_vec(t.matrix, c.bits)))

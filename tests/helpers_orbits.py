@@ -10,7 +10,7 @@ ones and closes each coset under them.
 
 import random
 
-from rmclass.gf2 import BitMatrix, identity, image_basis, rank, solve_commutant
+from rmclass.gf2 import BitMatrix, identity, rank, rank_of_rows
 
 
 def _flat(m: BitMatrix) -> int:
@@ -31,6 +31,32 @@ def _mat_vec(rows: tuple[int, ...], v: int) -> int:
         if (r & v).bit_count() & 1:
             out |= 1 << i
     return out
+
+
+def solve_commutant(a: BitMatrix) -> list[BitMatrix]:
+    """Basis of the commutant {X : XA = AX}: the kernel of the linear map
+    X -> XA xor AX on the n^2-dimensional space of matrices (entry (i,j) is
+    bit i*n+j). Each unit matrix E_ij is eliminated as its image, shifted
+    above n^2 bits, tagged with its own bit; a pivot row left below n^2
+    bits has a zero image, and there are n^2 - rank of them."""
+    if not a.is_square():
+        raise ValueError("commutant of non-square matrix")
+    n = a.rows
+    size = n * n
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            # row i of E_ij A is row j of A; column j of A E_ij is
+            # column i of A
+            image = a.row_bits[j] << (i * n)
+            for r in range(n):
+                if (a.row_bits[r] >> i) & 1:
+                    image ^= 1 << (r * n + j)
+            rows.append((image << size) | (1 << (i * n + j)))
+    pivots = {}
+    rank_of_rows(rows, pivots)
+    return [BitMatrix(n, n, _rows(row, n))
+            for bit, row in sorted(pivots.items()) if bit < size]
 
 
 def commutant_units(a: BitMatrix, rng: random.Random,
@@ -59,9 +85,14 @@ def commutant_units(a: BitMatrix, rng: random.Random,
 
 
 def coset_reducer(a: BitMatrix):
-    """b -> the canonical member of b xor Im(a xor I): the image basis is
-    in reduced echelon form, so clearing its pivot bits is canonical."""
-    im_rows = [v.bits for v in image_basis(a ^ identity(a.rows))]
+    """b -> the canonical member of b xor Im(a xor I), the one with every
+    pivot bit of an echelon basis of the columns clear. A pivot row has no
+    bit above its pivot, so clearing pivots from the highest down never
+    sets one already cleared."""
+    m = a ^ identity(a.rows)
+    pivots = {}
+    rank_of_rows((m.column(j).bits for j in range(m.cols)), pivots)
+    im_rows = [pivots[bit] for bit in sorted(pivots, reverse=True)]
 
     def reduce(b: int) -> int:
         for row in im_rows:

@@ -18,8 +18,8 @@ from rmclass.burnside import (
 from rmclass.conjclasses import CellDecompositionError, ConjCell, affine_cells, export_cells
 from rmclass.gf2 import BitVector, mat_vec
 from rmclass.group import identity
+from rmclass.anf import space_dimension
 from rmclass.linrep import (
-    dimension,
     fixed_space_log2,
     monomial_images,
     tau_matrix,
@@ -28,7 +28,7 @@ from rmclass.linrep import (
 
 def test_fix_count_identity():
     for n, s, k in [(3, 3, -1), (3, 2, 0), (4, 4, 1), (5, 3, 2)]:
-        assert fix_count(identity(n), s, k) == 1 << dimension(n, s, k)
+        assert fix_count(identity(n), s, k) == 1 << space_dimension(n, s, k)
 
 
 def test_fix_count_example():
@@ -45,7 +45,7 @@ def test_fix_count_windowed_example():
     g = make_example()
     for s, k in [(3, 0), (3, 1), (2, -1), (1, -1)]:
         m = tau_matrix(g, s, k).matrix
-        d = dimension(3, s, k)
+        d = space_dimension(3, s, k)
         fixed = sum(1 for bits in range(1 << d)
                     if mat_vec(m, BitVector(d, bits)).bits == bits)
         assert fix_count(g, s, k) == fixed

@@ -7,7 +7,6 @@ import pytest
 from conftest import TAU_ROWS, find_inexact_swap, make_example
 from rmclass import burnside, cli
 from rmclass.conjclasses import affine_cells, exhaustive_cells, export_cells, import_cells
-from rmclass.group import element_to_text
 
 
 def run_cli(*args):
@@ -138,6 +137,23 @@ def test_verify_no_matching_rows(capsys):
     capsys.readouterr()
 
 
+def test_verify_import_checks_the_file_n(capsys, tmp_path):
+    path = tmp_path / "cells4.txt"
+    export_cells(affine_cells(4), path)
+    assert run_cli("verify", "--max-n", "4", "--provider", "import",
+                   "--file", str(path)) == 0
+    out = capsys.readouterr().out
+    checks = [ln for ln in out.splitlines() if ln.startswith("check ")]
+    assert checks and all(" n=4 " in ln and "status=PASS" in ln
+                          for ln in checks)
+    assert out.strip().splitlines()[-1] == (
+        f"summary total={len(checks)} pass={len(checks)} fail=0")
+    # the file's n is above --max-n: nothing to check
+    assert run_cli("verify", "--max-n", "3", "--provider", "import",
+                   "--file", str(path)) == 2
+    assert "n=4" in capsys.readouterr().err
+
+
 def test_verify_mismatch_exits_1(capsys, tmp_path):
     oracle = tmp_path / "wrong.txt"
     oracle.write_text("I 3 1 3 4\n")
@@ -181,14 +197,14 @@ def test_classes_usage_errors(capsys, tmp_path):
 
 def test_tau_from_file(capsys, tmp_path):
     path = tmp_path / "element.txt"
-    path.write_text(element_to_text(make_example()))
+    path.write_text(str(make_example()))
     assert run_cli("tau", "--s", "3", "--k", "-1", "--file", str(path)) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert rows == TAU_ROWS
 
 
 def test_tau_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(element_to_text(make_example())))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(str(make_example())))
     assert run_cli("tau", "--s", "2", "--k", "0") == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 6 and all(len(r) == 6 for r in rows)

@@ -16,7 +16,6 @@ from rmclass.conjclasses import (
     gl_classes,
     import_cells,
     irreducible_polys,
-    poly_str,
 )
 from rmclass.gf2 import identity as identity_matrix, mat_mul, rank
 from rmclass.group import (
@@ -68,12 +67,6 @@ def test_irreducible_polys():
     by_degree = Counter(p.bit_length() - 1 for p in irreducible_polys(10))
     # the count of monic irreducibles of each degree (x itself excluded)
     assert [by_degree[d] for d in range(1, 11)] == [1, 1, 2, 3, 6, 9, 18, 30, 56, 99]
-
-
-def test_poly_str():
-    assert poly_str(3) == "x+1"
-    assert poly_str(7) == "x^2+x+1"
-    assert poly_str(11) == "x^3+x+1"
 
 
 def test_gl_classes_small():

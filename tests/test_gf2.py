@@ -3,24 +3,17 @@ import random
 import pytest
 
 from conftest import TAU_ROWS_UNREACHABLE, all_matrices
+from helpers_orbits import solve_commutant
 from rmclass.gf2 import (
     BitMatrix,
     BitVector,
     SingularMatrixError,
     identity,
-    image_basis,
     inverse,
     mat_mul,
     mat_vec,
-    nullspace_basis,
     rank,
     rank_of_rows,
-    solve,
-    solve_commutant,
-    transpose,
-    unit_vector,
-    zero_matrix,
-    zero_vector,
 )
 
 
@@ -28,13 +21,16 @@ def random_matrix(n, rng):
     return BitMatrix(n, n, tuple(rng.randrange(1 << n) for _ in range(n)))
 
 
+def zero_matrix(n):
+    return BitMatrix(n, n, (0,) * n)
+
+
 def test_bitvector_roundtrips():
     v = BitVector.from_entries([1, 0, 1, 1])
     assert v.n == 4
     assert v.entries() == (1, 0, 1, 1)
     assert str(v) == "1011"
-    assert v ^ v == zero_vector(4)
-    assert unit_vector(4, 2).entries() == (0, 0, 1, 0)
+    assert v ^ v == BitVector(4, 0)
     with pytest.raises(ValueError):
         v ^ BitVector(3, 0)
 
@@ -43,15 +39,15 @@ def test_bitmatrix_roundtrips():
     rows = ["110", "010", "001"]
     m = BitMatrix.from_strings(rows)
     assert m.to_strings() == rows
-    assert m.entry(0, 1) == 1 and m.entry(1, 0) == 0
+    assert m.row(0)[1] == 1 and m.row(1)[0] == 0
     assert m.column(0).entries() == (1, 0, 0)
     assert m.column(1).entries() == (1, 1, 0)
-    assert (m ^ m) == zero_matrix(3, 3)
+    assert (m ^ m) == zero_matrix(3)
     assert str(m) == "110\n010\n001"
 
 
 def test_rank_examples():
-    assert rank(zero_matrix(8, 8)) == 0
+    assert rank(zero_matrix(8)) == 0
     assert rank(identity(5)) == 5
     unreachable = BitMatrix.from_strings(TAU_ROWS_UNREACHABLE)
     assert rank(unreachable) == 8
@@ -59,6 +55,10 @@ def test_rank_examples():
 
 
 def test_rank_transpose_invariant():
+    def transpose(m):
+        return BitMatrix.from_rows(
+            [m.column(j).entries() for j in range(m.cols)], m.rows)
+
     rng = random.Random(11)
     for _ in range(50):
         m = random_matrix(6, rng)
@@ -110,7 +110,7 @@ def test_mat_mul_identity_and_square():
         "10000000", "01000000", "00100000", "00010000",
         "00001000", "00000100", "00100010", "00000001",
     ]
-    assert sq.entry(3, 2) == 0
+    assert sq.row(3)[2] == 0
 
 
 def test_mat_mul_associative():
@@ -123,7 +123,7 @@ def test_mat_mul_associative():
 def test_mat_vec_columns():
     m = BitMatrix.from_strings(["110", "011", "101"])
     for j in range(3):
-        assert mat_vec(m, unit_vector(3, j)) == m.column(j)
+        assert mat_vec(m, BitVector(3, 1 << j)) == m.column(j)
     v = BitVector.from_entries([1, 1, 0])
     assert mat_vec(m, v) == m.column(0) ^ m.column(1)
 
@@ -133,7 +133,7 @@ def test_inverse_examples():
     assert inverse(a) == a  # involution
     assert inverse(identity(4)) == identity(4)
     with pytest.raises(SingularMatrixError):
-        inverse(zero_matrix(3, 3))
+        inverse(zero_matrix(3))
     with pytest.raises(SingularMatrixError):
         inverse(BitMatrix.from_strings(["110", "110", "001"]))
 
@@ -148,69 +148,6 @@ def test_inverse_random_roundtrip():
         assert mat_mul(m, inverse(m)) == identity(6)
         assert mat_mul(inverse(m), m) == identity(6)
         done += 1
-
-
-def test_solve_consistent_and_inconsistent():
-    m = BitMatrix.from_strings(["110", "110", "001"])
-    assert solve(m, BitVector.from_entries([1, 0, 0])) is None
-    x = solve(m, BitVector.from_entries([1, 1, 1]))
-    assert x is not None and mat_vec(m, x) == BitVector.from_entries([1, 1, 1])
-    rng = random.Random(3)
-    for _ in range(40):
-        a = random_matrix(5, rng)
-        v = mat_vec(a, BitVector(5, rng.randrange(32)))
-        x = solve(a, v)
-        assert x is not None and mat_vec(a, x) == v
-    with pytest.raises(ValueError):
-        solve(m, BitVector(2, 0))
-
-
-def test_solve_matches_enumeration():
-    # solvable exactly when some x hits v, checked over every x and v
-    rng = random.Random(5)
-    for _ in range(20):
-        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
-        m = BitMatrix(rows, cols,
-                      tuple(rng.randrange(1 << cols) for _ in range(rows)))
-        hits = {mat_vec(m, BitVector(cols, x)).bits for x in range(1 << cols)}
-        for v in range(1 << rows):
-            x = solve(m, BitVector(rows, v))
-            if v in hits:
-                assert x is not None and mat_vec(m, x).bits == v
-            else:
-                assert x is None
-
-
-def test_nullspace_basis():
-    assert nullspace_basis(identity(4)) == []
-    z = nullspace_basis(zero_matrix(3, 3))
-    assert len(z) == 3
-    rng = random.Random(9)
-    for _ in range(40):
-        m = random_matrix(6, rng)
-        basis = nullspace_basis(m)
-        assert len(basis) == 6 - rank(m)
-        for v in basis:
-            assert mat_vec(m, v) == zero_vector(6)
-        assert rank_of_rows([v.bits for v in basis]) == len(basis)
-
-
-def test_image_basis():
-    assert image_basis(zero_matrix(3, 3)) == []
-    assert len(image_basis(identity(5))) == 5
-    a = BitMatrix.from_strings(["110", "010", "001"])
-    assert image_basis(a ^ identity(3)) == [BitVector.from_entries([1, 0, 0])]
-    rng = random.Random(13)
-    for _ in range(40):
-        m = random_matrix(6, rng)
-        basis = image_basis(m)
-        assert len(basis) == rank(m)
-        # every column must lie in the span of the basis
-        span = {0}
-        for v in basis:
-            span |= {w ^ v.bits for w in span}
-        for j in range(6):
-            assert m.column(j).bits in span
 
 
 @pytest.mark.parametrize("rows,dim", [

@@ -13,7 +13,6 @@ from rmclass.group import (
     compose,
     conjugate,
     element_from_text,
-    element_to_text,
     from_permutation,
     group_orders,
     identity,
@@ -134,8 +133,9 @@ def test_to_permutation_is_a_homomorphism():
     for _ in range(40):
         a = random_element(3, rng)
         b = random_element(3, rng)
-        assert (to_permutation(compose(a, b))
-                == to_permutation(a).compose(to_permutation(b)))
+        pa, pb = to_permutation(a), to_permutation(b)
+        assert (to_permutation(compose(a, b)).images
+                == tuple(pa(i) for i in pb.images))
 
 
 def test_conjugate_preserves_cycle_type():
@@ -166,13 +166,12 @@ def test_random_element_deterministic():
 
 def test_element_text_roundtrip():
     g = make_example()
-    text = element_to_text(g)
-    assert element_from_text(text) == g
+    assert element_from_text(str(g)) == g
     rng = random.Random(43)
     for n in (1, 4, 7):
         for _ in range(5):
             h = random_element(n, rng)
-            assert element_from_text(element_to_text(h)) == h
+            assert element_from_text(str(h)) == h
 
 
 def test_element_from_text_rejects_malformed():

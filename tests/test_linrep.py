@@ -5,6 +5,7 @@ import pytest
 from conftest import TAU_ROWS, TAU_ROWS_UNREACHABLE, make_example
 from rmclass.anf import (
     Anf,
+    CoefficientVector,
     Monomial,
     anf_of_cv,
     cv,
@@ -25,8 +26,6 @@ from rmclass.group import (
 from rmclass.linrep import (
     Echelon,
     TauMatrix,
-    act_on_coefficients,
-    dimension,
     fixed_space_log2,
     monomial_images,
     tau_matrix,
@@ -41,16 +40,16 @@ def random_anf_in_window(n, s, k, rng):
 
 
 def test_dimension_examples():
-    assert dimension(3, 3, -1) == 8
-    assert dimension(7, 7, 1) == 120
+    assert space_dimension(3, 3, -1) == 8
+    assert space_dimension(7, 7, 1) == 120
     for n, s, k in WINDOWS:
-        assert dimension(n, s, k) == space_dimension(n, s, k)
+        assert space_dimension(n, s, k) == len(monomial_order(n, s, k))
 
 
 def test_tau_of_identity_is_identity():
     for n, s, k in WINDOWS:
         t = tau_matrix(group_identity(n), s, k)
-        assert t.matrix == identity(dimension(n, s, k))
+        assert t.matrix == identity(space_dimension(n, s, k))
 
 
 def test_tau_matrix_example():
@@ -105,7 +104,8 @@ def test_act_on_coefficients_matches_substitution():
             g = random_element(n, rng)
             t = tau_matrix(g, s, k)
             f = random_anf_in_window(n, s, k, rng)
-            acted = act_on_coefficients(t, f)
+            acted = anf_of_cv(CoefficientVector(
+                n, s, k, mat_vec(t.matrix, cv(f, s, k).bits)))
             assert project(acted, s, k) == project(substitute_anf(f, g), s, k)
             assert cv(acted, s, k).bits == mat_vec(t.matrix, cv(f, s, k).bits)
 
@@ -136,7 +136,7 @@ def test_fixed_space_example():
     assert fixed_space_log2(monomial_images(g), 3, 3, -1) == 6
     e = group_identity(3)
     for n, s, k in WINDOWS:
-        d = dimension(n, s, k)
+        d = space_dimension(n, s, k)
         assert fixed_space_log2(monomial_images(group_identity(n)), n, s, k) == d
 
 
@@ -144,7 +144,7 @@ def test_fixed_space_matches_vector_enumeration():
     # count Mv == v directly over every coefficient vector
     rng = random.Random(73)
     for n, s, k in [(3, 3, -1), (3, 2, 0), (3, 3, 1), (2, 2, -1)]:
-        d = dimension(n, s, k)
+        d = space_dimension(n, s, k)
         for _ in range(6):
             g = random_element(n, rng)
             m = tau_matrix(g, s, k).matrix
@@ -185,7 +185,7 @@ def check_fixdim_invariants(g):
     n = g.n
     fix = carried_fixdims(g)
     for (k, s), f in fix.items():
-        assert 0 <= f <= dimension(n, s, k)
+        assert 0 <= f <= space_dimension(n, s, k)
         # (k, s] is an invariant subspace of (k, s+1]: its fixed vectors
         # stay fixed in the larger window
         if s > k + 1:
@@ -223,7 +223,8 @@ def test_shared_echelon_matches_tau_matrix_rank_all_cells():
             for k in range(-1, n):
                 for s in range(k + 1, n + 1):
                     t = tau_matrix(g, s, k).matrix
-                    want = dimension(n, s, k) - rank(t ^ identity(t.rows))
+                    want = (space_dimension(n, s, k)
+                            - rank(t ^ identity(t.rows)))
                     assert fixed_space_log2(images, n, s, k, echelon) == want
                     fresh = monomial_images(g, s, k)
                     assert fixed_space_log2(fresh, n, s, k) == want, (g, k, s)
