@@ -23,7 +23,7 @@ from .conjclasses import (
     import_cells,
 )
 from .group import AffineElement, group_orders
-from .linrep import Echelon, fixed_space_log2, monomial_images
+from .linrep import fixed_space_log2, monomial_images
 
 PROVIDERS = ("exhaustive", "canonical", "import")
 
@@ -46,17 +46,17 @@ class CountResult:
 def fix_count(g: AffineElement, s: int, k: int) -> int:
     """Number of coefficient vectors fixed by g: 2^(d - rank(tau xor I))."""
     check_params(g.n, s, k)
-    return 1 << fixed_space_log2(monomial_images(g, s, k), g.n, s, k)
+    return 1 << fixed_space_log2(monomial_images(g, s, k), g.n, [(k, s)])[0]
 
 
 def resolve_cells(n: int | None, provider: str = "canonical", *,
-                  file=None) -> tuple[list[ConjCell], str]:
+                  file=None) -> list[ConjCell]:
     """Map a provider tag to a validated cell list. n may be None for the
     import provider only: the file's own n is then accepted."""
     if provider == "exhaustive":
-        return exhaustive_cells(n), provider
+        return exhaustive_cells(n)
     if provider == "canonical":
-        return affine_cells(n), provider
+        return affine_cells(n)
     if provider == "import":
         if file is None:
             raise ValueError("the import provider requires a cell file")
@@ -64,23 +64,22 @@ def resolve_cells(n: int | None, provider: str = "canonical", *,
         if n is not None and cells[0].rep.n != n:
             raise ValueError(
                 f"cell file is for n={cells[0].rep.n}, requested n={n}")
-        return cells, provider
+        return cells
     raise ValueError(f"unknown provider {provider!r}; expected {PROVIDERS}")
 
 
 def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
                        cells: list[ConjCell]) -> list[int]:
     """Size-weighted fixed-point sums of a slice of cells, one per pair.
-    Each cell runs one elimination, for the smallest k asked, that every
-    window (k, s] reads its rank from, in any pair order."""
+    Each cell makes one fixed_space_log2 call, whose single elimination
+    serves every window (k, s]."""
     max_s = max(s for _, s in pairs)
     min_k = min(k for k, _ in pairs)
     sums = [0] * len(pairs)
     for cell in cells:
         images = monomial_images(cell.rep, max_s, min_k)
-        echelon = Echelon(min_k)
-        for i, (k, s) in enumerate(pairs):
-            sums[i] += cell.size << fixed_space_log2(images, n, s, k, echelon)
+        for i, fixdim in enumerate(fixed_space_log2(images, n, pairs)):
+            sums[i] += cell.size << fixdim
     return sums
 
 
@@ -100,9 +99,9 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     if len(set(pairs)) != len(pairs):
         raise ValueError("duplicate (k, s) pairs")
     start = time.perf_counter()
-    tag = "direct"
+    tag = provider if cells is None else "direct"
     if cells is None:
-        cells, tag = resolve_cells(n, provider, file=file)
+        cells = resolve_cells(n, provider, file=file)
     order = group_orders(n)[1]
     total_size = sum(c.size for c in cells)
     if total_size != order:

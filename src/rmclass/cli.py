@@ -105,11 +105,11 @@ def _acquire_cells(n: int | None, args):
 
 def cmd_count(args) -> int:
     check_params(args.n, args.s, args.k)
-    cells, tag = _acquire_cells(args.n, args)
+    cells = _acquire_cells(args.n, args)
     res = count_pairs(args.n, [(args.k, args.s)], threads=args.threads,
                       cells=cells)[(args.k, args.s)]
-    print(f"n={res.n} s={res.s} k={res.k} provider={tag} cells={res.cells} "
-          f"elapsed={res.elapsed:.3f} count={res.count}")
+    print(f"n={res.n} s={res.s} k={res.k} provider={args.provider} "
+          f"cells={res.cells} elapsed={res.elapsed:.3f} count={res.count}")
     return EXIT_OK
 
 
@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
     imported = {}
     if args.provider == "import":
         # a cell file holds one n: read it once and check only that n's rows
-        cells, _tag = _acquire_cells(None, args)
+        cells = _acquire_cells(None, args)
         file_n = cells[0].rep.n
         imported[file_n] = cells
         wanted = [e for e in wanted if e.n == file_n]
@@ -133,11 +133,14 @@ def cmd_verify(args) -> int:
             f"no oracle entries with n <= {args.max_n}"
             + (f" in table {args.table}" if args.table else "")
             + (f" for the cell file's n={file_n}" if imported else ""))
+    # every n's cells before the first check line, so a provider that
+    # fails at a later n leaves no partial report
+    cells_by_n = {n: imported.get(n) or _acquire_cells(n, args)
+                  for n in sorted({e.n for e in wanted})}
     failures = 0
-    for n in sorted({e.n for e in wanted}):
+    for n, cells in cells_by_n.items():
         group = [e for e in wanted if e.n == n]
         pairs = sorted({(e.k, e.s) for e in group})
-        cells = imported.get(n) or _acquire_cells(n, args)[0]
         results = count_pairs(n, pairs, threads=args.threads, cells=cells)
         for e in group:
             got = results[(e.k, e.s)].count
@@ -156,14 +159,14 @@ def cmd_classes(args) -> int:
         raise _UsageError("classes writes cells; use a computing provider")
     if args.file is None:
         raise _UsageError("classes requires --file for the output path")
-    cells, tag = _acquire_cells(args.n, args)
+    cells = _acquire_cells(args.n, args)
     try:
         export_cells(cells, args.file)
     except OSError as e:
         raise _UsageError(str(e)) from None
     total = sum(c.size for c in cells)
-    print(f"n={args.n} provider={tag} cells={len(cells)} total={total} "
-          f"file={args.file}")
+    print(f"n={args.n} provider={args.provider} cells={len(cells)} "
+          f"total={total} file={args.file}")
     return EXIT_OK
 
 

@@ -21,7 +21,6 @@ import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .gf2 import BitMatrix, BitVector, SingularMatrixError
@@ -162,19 +161,19 @@ def _direct_sum(blocks: list[BitMatrix]) -> BitMatrix:
 def _centralizer_order(assignment) -> int:
     """|{X in GL : X commutes with the class rep}|, from the partition data:
     product over polynomials of q^(sum of squared conjugate-partition parts)
-    times prod over part sizes k of prod_{j=1}^{mult(k)} (1 - q^-j)."""
-    total = Fraction(1)
+    times prod over the multiplicities m_t of the parts t of
+    prod_{j=1}^{m_t} (1 - q^-j) = q^(-m_t(m_t+1)/2) prod_j (q^j - 1)."""
+    total = 1
     for poly, lam in assignment:
         q = 1 << (poly.bit_length() - 1)
-        e = sum(c * c for c in _conjugate_partition(lam))
-        f = Fraction(q) ** e
-        for mult in Counter(lam).values():
-            for j in range(1, mult + 1):
-                f *= 1 - Fraction(1, q ** j)
-        total *= f
-    if total.denominator != 1:
-        raise ArithmeticError(f"centralizer order not integral: {total}")
-    return total.numerator
+        mults = Counter(lam).values()
+        e = (sum(c * c for c in _conjugate_partition(lam))
+             - sum(m * (m + 1) // 2 for m in mults))
+        total *= q ** e
+        for m in mults:
+            for j in range(1, m + 1):
+                total *= q ** j - 1
+    return total
 
 
 @functools.lru_cache(maxsize=None)

@@ -171,10 +171,11 @@ def rank_of_rows(rows: Iterable[int],
     how much the rank grew, so an echelon form can be built up one batch of
     rows at a time.
 
-    bands are disjoint bit masks, most significant first, that together
-    cover every bit of the rows. A row's pivot is its highest set bit in
-    the first band it meets; the default, one band of all bits, makes the
-    pivot the highest set bit. A pivot dict must be extended with the same
+    bands are disjoint bit masks, most significant first; bits outside
+    every band are ignored. A row's pivot is its highest set bit in the
+    first band it meets, and a row with nothing left inside the bands adds
+    no rank; the default, one band of all bits, makes the pivot the
+    highest set bit. A pivot dict must be extended with the same
     band order each time (a prefix may be dropped where no row reaches it)."""
     if pivots is None:
         pivots = {}

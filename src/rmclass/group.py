@@ -194,6 +194,8 @@ def element_from_text(text: str) -> AffineElement:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"bad element header {lines[0]!r}") from None
+    if not 1 <= n <= 10:
+        raise ValueError(f"n={n} out of supported range 1..10")
     if len(lines) != n + 2:
         raise ValueError(f"expected {n + 2} lines, got {len(lines)}")
     for ln in lines[1:]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .anf import (
     _window_indicator,
@@ -98,62 +99,41 @@ def _degree_bands(n: int) -> tuple[int, ...]:
     return tuple(_window_indicator(n, i, i - 1) for i in range(n, -1, -1))
 
 
-class Echelon:
-    """Elimination state of tau xor I on the window (k, top], carried from
-    one window to the next. Rows are added in increasing degree and each
+def fixed_space_log2(images: list[int], n: int,
+                     pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """log2 of the number of coefficient vectors fixed by the element whose
+    monomial images are given, for each pair (k, s) in the order given:
+    d - rank(tau xor I) on the window (k, s].
+
+    One elimination serves every window. The rows of tau xor I are added in
+    increasing degree, from the smallest k up to the largest s, and each
     row's pivot is chosen degree-major: its highest-degree nonzero part,
     then the highest bit inside that part. An affine substitution sends a
     degree-i monomial to terms of degree <= i, so a row of degree <= k' is
     zero on the columns above k'; the pivot rows of degree above k' are
     then a basis of the projection onto those columns. So after the rows of
-    degrees (k, s] are in, rank(tau xor I on (k', s]) is the number of
-    pivots of degree in (k', s], for every k' >= k: one elimination serves
-    every window."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.pivots: dict[int, int] = {}  # pivot bit -> row
-        self.top = k  # highest degree whose rows have been added
-        # s -> pivots of each degree once the rows of degree s were in
-        self.at: dict[int, tuple[int, ...]] = {}
-
-    def extend(self, images: list[int], n: int, s: int) -> None:
-        """Add the rows of degrees top+1..s, recording the pivot counts per
-        degree after each one."""
-        per_degree = list(self.at.get(self.top, (0,) * (n + 1)))
-        # the rows added so far have no terms above their own degree, so
-        # one mask (drop degrees <= k) serves every s
-        window = _window_indicator(n, n, self.k)
-        bands = _degree_bands(n)
-        for i in range(self.top + 1, s + 1):
-            grown = rank_of_rows(
-                [(images[u] & window) ^ (1 << u)
-                 for u in _masks_by_degree(n)[i]],
-                self.pivots, bands[n - i:n - self.k])
-            # new pivots are the last ones inserted into the dict
-            for bit in itertools.islice(reversed(self.pivots), grown):
-                per_degree[bit.bit_count()] += 1
-            self.at[i] = tuple(per_degree)
-        self.top = max(self.top, s)
-
-
-def fixed_space_log2(images: list[int], n: int, s: int, k: int,
-                     echelon: Echelon | None = None) -> int:
-    """log2 of the number of coefficient vectors fixed by the element whose
-    monomial images are given: d - rank(tau xor I) on the window (k, s].
-    An echelon (a fresh one if none is given) built for any k' <= k is
-    extended in place when s is above its top degree; windows may be asked
-    in any order. Rows are kept in monomial-mask positions, not the
-    canonical order: the same permutation of rows and columns preserves
-    rank."""
-    d = space_dimension(n, s, k)
-    if echelon is None:
-        echelon = Echelon(k)
-    elif echelon.k > k:
-        raise ValueError(f"echelon built for k={echelon.k} > k={k}")
-    if s > echelon.top:
-        echelon.extend(images, n, s)
-    return d - sum(echelon.at[s][k + 1:])
+    degrees up to s are in, rank(tau xor I on (k', s]) is the number of
+    pivots of degree in (k', s], for every k' in the pairs. Rows are kept
+    in monomial-mask positions, not the canonical order: the same
+    permutation of rows and columns preserves rank."""
+    for k, s in pairs:
+        check_params(n, s, k)
+    k0 = min(k for k, _ in pairs)
+    top = max(s for _, s in pairs)
+    pivots: dict[int, int] = {}  # pivot bit -> row
+    per_degree = [0] * (n + 1)
+    at = {}  # s -> pivots of each degree once the rows of degree s were in
+    bands = _degree_bands(n)
+    for i in range(k0 + 1, top + 1):
+        # terms of degree <= k0 lie in no band: rank_of_rows ignores them
+        grown = rank_of_rows(
+            [images[u] ^ (1 << u) for u in _masks_by_degree(n)[i]],
+            pivots, bands[n - i:n - k0])
+        # new pivots are the last ones inserted into the dict
+        for bit in itertools.islice(reversed(pivots), grown):
+            per_degree[bit.bit_count()] += 1
+        at[i] = tuple(per_degree)
+    return [space_dimension(n, s, k) - sum(at[s][k + 1:]) for k, s in pairs]
 
 
 def tau_matrix(g: AffineElement, s: int, k: int) -> TauMatrix:

@@ -106,8 +106,8 @@ def test_count_pairs_threads_agree():
 
 
 def test_pair_partial_sums_any_pair_order():
-    # the slice walks pairs in (k, s) order with one echelon per k; the sums
-    # must come back in the caller's order, equal to per-window eliminations
+    # the slice runs one elimination per cell for all pairs; the sums must
+    # come back in the caller's order, equal to per-window eliminations
     n = 5
     cells = affine_cells(n)
     pairs = all_pairs(n)
@@ -116,7 +116,8 @@ def test_pair_partial_sums_any_pair_order():
     for cell in cells:
         images = monomial_images(cell.rep)
         for i, (k, s) in enumerate(pairs):
-            want[i] += cell.size << fixed_space_log2(images, n, s, k)
+            [fixdim] = fixed_space_log2(images, n, [(k, s)])
+            want[i] += cell.size << fixdim
     assert burnside._pair_partial_sums(n, tuple(pairs), cells) == want
 
 
@@ -210,9 +211,7 @@ def test_resolve_cells_import_checks_n(tmp_path):
     export_cells(affine_cells(3), path)
     with pytest.raises(ValueError):
         resolve_cells(4, "import", file=path)
-    cells, label = resolve_cells(3, "import", file=path)
-    assert label == "import"
-    assert cells == affine_cells(3)
+    assert resolve_cells(3, "import", file=path) == affine_cells(3)
 
 
 def test_count_rejects_bad_params():

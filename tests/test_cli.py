@@ -154,6 +154,16 @@ def test_verify_import_checks_the_file_n(capsys, tmp_path):
     assert "n=4" in capsys.readouterr().err
 
 
+def test_verify_provider_failure_prints_no_checks(capsys):
+    # the exhaustive provider stops at n = 4: the n = 5 and 6 cells fail
+    # before the n = 3 and 4 rows are checked, so no partial report
+    assert run_cli("verify", "--max-n", "6", "--provider", "exhaustive") == 2
+    captured = capsys.readouterr()
+    assert not any(ln.startswith("check ")
+                   for ln in captured.out.splitlines())
+    assert "n <= 4" in captured.err
+
+
 def test_verify_mismatch_exits_1(capsys, tmp_path):
     oracle = tmp_path / "wrong.txt"
     oracle.write_text("I 3 1 3 4\n")
@@ -216,6 +226,14 @@ def test_tau_rejects_singular_element(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("not an element"))
     assert run_cli("tau", "--s", "2", "--k", "-1") == 2
     capsys.readouterr()
+    # a well-formed identity element with n = 24 is refused before any of
+    # the 2^24-mask tables is built
+    rows = ["".join("1" if j == i else "0" for j in range(24))
+            for i in range(24)]
+    text = "\n".join(["24"] + rows + ["0" * 24])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run_cli("tau", "--s", "1", "--k", "0") == 2
+    assert "1..10" in capsys.readouterr().err
 
 
 def test_internal_invariant_failure_exits_3(capsys, tmp_path):

@@ -99,6 +99,13 @@ def test_rank_of_rows_bands_pick_pivot_in_first_band():
         for b, row in pivots.items():
             first = next(band for band in bands if row & band)
             assert (row & first).bit_length() - 1 == b
+        # bits outside every band are ignored
+        above = [row | rng.randrange(1 << 4) << 12 for row in rows]
+        assert rank_of_rows(above, {}, bands) == rank_of_rows(rows)
+    # a row with nothing inside the bands adds no rank
+    pivots = {}
+    assert rank_of_rows([0b101 << 12], pivots, bands) == 0
+    assert pivots == {}
 
 
 def test_mat_mul_identity_and_square():

@@ -175,7 +175,12 @@ def test_element_text_roundtrip():
 
 
 def test_element_from_text_rejects_malformed():
+    # the last text is a well-formed identity element with n = 11, above
+    # the supported range
+    identity11 = ["".join("1" if j == i else "0" for j in range(11))
+                  for i in range(11)]
     for text in ["", "3\n110\n010\n001", "2\n10\n01\n00\nextra",
-                 "2\n11\n11\n00", "x\n1\n1"]:
+                 "2\n11\n11\n00", "x\n1\n1",
+                 "\n".join(["11"] + identity11 + ["0" * 11])]:
         with pytest.raises((ValueError, NotAffineError)):
             element_from_text(text)

@@ -15,6 +15,7 @@ from rmclass.anf import (
     substitute,
     substitute_anf,
 )
+from rmclass.burnside import all_pairs
 from rmclass.gf2 import BitMatrix, BitVector, identity, mat_mul, mat_vec, rank
 from rmclass.conjclasses import affine_cells
 from rmclass.group import (
@@ -24,7 +25,6 @@ from rmclass.group import (
     to_permutation,
 )
 from rmclass.linrep import (
-    Echelon,
     TauMatrix,
     fixed_space_log2,
     monomial_images,
@@ -133,11 +133,11 @@ def test_monomial_images_degree_cap():
 
 def test_fixed_space_example():
     g = make_example()
-    assert fixed_space_log2(monomial_images(g), 3, 3, -1) == 6
-    e = group_identity(3)
+    assert fixed_space_log2(monomial_images(g), 3, [(-1, 3)]) == [6]
     for n, s, k in WINDOWS:
         d = space_dimension(n, s, k)
-        assert fixed_space_log2(monomial_images(group_identity(n)), n, s, k) == d
+        images = monomial_images(group_identity(n))
+        assert fixed_space_log2(images, n, [(k, s)]) == [d]
 
 
 def test_fixed_space_matches_vector_enumeration():
@@ -150,7 +150,8 @@ def test_fixed_space_matches_vector_enumeration():
             m = tau_matrix(g, s, k).matrix
             fixed = sum(1 for bits in range(1 << d)
                         if mat_vec(m, BitVector(d, bits)).bits == bits)
-            assert 1 << fixed_space_log2(monomial_images(g), n, s, k) == fixed
+            [fixdim] = fixed_space_log2(monomial_images(g), n, [(k, s)])
+            assert 1 << fixdim == fixed
 
 
 def test_tau_matrix_validation():
@@ -167,17 +168,15 @@ def test_tau_matrix_validation():
 # the reference table.
 
 def carried_fixdims(g):
-    """{(k, s): fixdim} from one Echelon(-1) shared by every window, checked
-    at every step against a fresh elimination of the window alone."""
+    """{(k, s): fixdim} from one call over every window, checked against
+    one call per window."""
     n = g.n
     images = monomial_images(g)
-    echelon = Echelon(-1)
-    out = {}
-    for k in range(-1, n):
-        for s in range(k + 1, n + 1):
-            got = fixed_space_log2(images, n, s, k, echelon)
-            assert got == fixed_space_log2(images, n, s, k), (g, k, s)
-            out[(k, s)] = got
+    pairs = all_pairs(n)
+    out = dict(zip(pairs, fixed_space_log2(images, n, pairs)))
+    for k, s in pairs:
+        assert fixed_space_log2(images, n, [(k, s)]) == [out[(k, s)]], \
+            (g, k, s)
     return out
 
 
@@ -216,18 +215,17 @@ def test_shared_echelon_matches_tau_matrix_rank_all_cells():
     # independent oracle: the canonical-order matrix built by substitute,
     # ranked with plain highest-bit pivots
     for n in range(1, 6):
+        pairs = all_pairs(n)
         for cell in affine_cells(n):
             g = cell.rep
-            images = monomial_images(g)
-            echelon = Echelon(-1)
-            for k in range(-1, n):
-                for s in range(k + 1, n + 1):
-                    t = tau_matrix(g, s, k).matrix
-                    want = (space_dimension(n, s, k)
-                            - rank(t ^ identity(t.rows)))
-                    assert fixed_space_log2(images, n, s, k, echelon) == want
-                    fresh = monomial_images(g, s, k)
-                    assert fixed_space_log2(fresh, n, s, k) == want, (g, k, s)
+            shared = fixed_space_log2(monomial_images(g), n, pairs)
+            for (k, s), got in zip(pairs, shared):
+                t = tau_matrix(g, s, k).matrix
+                want = space_dimension(n, s, k) - rank(t ^ identity(t.rows))
+                assert got == want, (g, k, s)
+                fresh = monomial_images(g, s, k)
+                assert fixed_space_log2(fresh, n, [(k, s)]) == [want], \
+                    (g, k, s)
 
 
 def test_pruned_images_match_full_on_window_masks():
@@ -252,22 +250,18 @@ def test_pruned_images_fill_only_what_windows_build_from():
     assert len([u for u in filled if u.bit_count() > 8]) == 11
 
 
-def test_fixed_space_echelon_misuse_raises():
+def test_fixed_space_mixed_pair_order_and_bad_pairs_raise():
     g = make_example()
     images = monomial_images(g)
-    echelon = Echelon(0)
-    assert fixed_space_log2(images, 3, 2, 0, echelon) == \
-        fixed_space_log2(images, 3, 2, 0)
-    assert echelon.top == 2
-    with pytest.raises(ValueError):
-        fixed_space_log2(images, 3, 3, -1, echelon)  # built for a larger k
-    # an s below the top degree, a larger k and any pair order read the
-    # fresh value off the same elimination
-    for k, s in [(0, 1), (1, 3), (0, 3), (1, 2), (2, 3), (0, 2)]:
-        assert fixed_space_log2(images, 3, s, k, echelon) == \
-            fixed_space_log2(images, 3, s, k), (k, s)
-    assert echelon.top == 3
-    with pytest.raises(ValueError):
-        fixed_space_log2(images, 3, 4, 0)  # s out of range
-    with pytest.raises(ValueError):
-        fixed_space_log2(images, 3, 2, 2, echelon)  # k not below s
+    # pairs in mixed order, one of them twice, most with k above the
+    # smallest: one call answers each in the order asked
+    pairs = [(0, 2), (1, 3), (-1, 3), (0, 1), (2, 3), (1, 2), (0, 3), (0, 2)]
+    want = []
+    for k, s in pairs:
+        t = tau_matrix(g, s, k).matrix
+        want.append(space_dimension(3, s, k) - rank(t ^ identity(t.rows)))
+    assert fixed_space_log2(images, 3, pairs) == want
+    # s out of range, k not below s, k below -1
+    for bad in [(0, 4), (2, 2), (2, 1), (-2, 1)]:
+        with pytest.raises(ValueError):
+            fixed_space_log2(images, 3, [(0, 2), bad])
