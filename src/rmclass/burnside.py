@@ -38,7 +38,6 @@ class CountResult:
     s: int
     k: int
     count: int
-    provider: str
     cells: int
     elapsed: float
 
@@ -53,6 +52,8 @@ def resolve_cells(n: int | None, provider: str = "canonical", *,
                   file=None) -> list[ConjCell]:
     """Map a provider tag to a validated cell list. n may be None for the
     import provider only: the file's own n is then accepted."""
+    if n is None and provider != "import":
+        raise ValueError("only the import provider accepts n=None")
     if provider == "exhaustive":
         return exhaustive_cells(n)
     if provider == "canonical":
@@ -99,9 +100,12 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     if len(set(pairs)) != len(pairs):
         raise ValueError("duplicate (k, s) pairs")
     start = time.perf_counter()
-    tag = provider if cells is None else "direct"
     if cells is None:
         cells = resolve_cells(n, provider, file=file)
+    for c in cells:
+        if c.rep.n != n:
+            raise CellDecompositionError(
+                f"a cell representative is for n={c.rep.n}, not n={n}")
     order = group_orders(n)[1]
     total_size = sum(c.size for c in cells)
     if total_size != order:
@@ -127,7 +131,7 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
             raise InexactDivisionError(
                 f"n={n} s={s} k={k}: Burnside sum {acc} leaves remainder "
                 f"{rem} mod |AGL({n},2)| and quotient {q}")
-        out[(k, s)] = CountResult(n, s, k, q, tag, len(cells), elapsed)
+        out[(k, s)] = CountResult(n, s, k, q, len(cells), elapsed)
     return out
 
 
@@ -144,15 +148,13 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(k, s) for k in range(-1, n) for s in range(k + 1, n + 1)]
 
 
-def symmetry_check(n: int, provider: str = "canonical", *,
-                   threads: int = 1, file=None) -> list[tuple]:
+def symmetry_check(n: int) -> list[tuple]:
     """Computes every N_{s,k} for this n and returns the mirror-pair
     violations of N_{s,k} == N_{n-1-k, n-1-s} (expected: none). Each
     violation is ((k, s), (mirror k, mirror s), count, mirror count)."""
     if n < 2:
         raise ValueError("symmetry check needs n >= 2")
-    results = count_pairs(n, all_pairs(n), provider, threads=threads,
-                          file=file)
+    results = count_pairs(n, all_pairs(n))
     violations = []
     for (k, s), res in results.items():
         mk, ms = n - 1 - s, n - 1 - k

@@ -2,7 +2,7 @@
 export cell decompositions, dump action matrices.
 
 Exit codes: 0 success / all checks pass, 1 verification mismatch, 2 usage
-error (bad flags, unparseable input), 3 internal invariant failure.
+error (any ValueError or OSError), 3 internal failure (any other exception).
 """
 
 from __future__ import annotations
@@ -14,18 +14,9 @@ from importlib import resources
 from pathlib import Path
 
 from .anf import check_params
-from .burnside import (
-    PROVIDERS,
-    InexactDivisionError,
-    count_pairs,
-    resolve_cells,
-)
-from .conjclasses import (
-    CellDecompositionError,
-    CellFormatError,
-    export_cells,
-)
-from .group import NotAffineError, element_from_text
+from .burnside import PROVIDERS, count_pairs, resolve_cells
+from .conjclasses import export_cells
+from .group import element_from_text
 from .linrep import tau_matrix
 
 EXIT_OK = 0
@@ -34,10 +25,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 TABLE_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X")
-
-
-class _UsageError(Exception):
-    """Raised for problems in user-supplied inputs (flag values, files)."""
 
 
 @dataclass(frozen=True)
@@ -84,28 +71,23 @@ def load_oracle(path=None) -> OracleTable:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 5 or parts[0] not in TABLE_TAGS:
-            raise ValueError(f"oracle line {lineno}: bad entry {raw!r}")
-        tag, n, k, s, value = (parts[0], int(parts[1]), int(parts[2]),
-                               int(parts[3]), int(parts[4]))
-        check_params(n, s, k)
+        try:
+            tag, n, k, s, value = parts[0], *map(int, parts[1:])
+            if tag not in TABLE_TAGS:
+                raise ValueError
+            check_params(n, s, k)
+        except ValueError:
+            raise ValueError(
+                f"oracle line {lineno}: bad entry {raw!r}") from None
         entries.append(OracleEntry(tag, n, k, s, value))
     if not entries:
         raise ValueError("oracle file has no entries")
     return OracleTable(tuple(entries))
 
 
-def _acquire_cells(n: int | None, args):
-    """Provider resolution with user-input failures downgraded to usage."""
-    try:
-        return resolve_cells(n, args.provider, file=args.file)
-    except (CellFormatError, CellDecompositionError, OSError) as e:
-        raise _UsageError(str(e)) from None
-
-
 def cmd_count(args) -> int:
     check_params(args.n, args.s, args.k)
-    cells = _acquire_cells(args.n, args)
+    cells = resolve_cells(args.n, args.provider, file=args.file)
     res = count_pairs(args.n, [(args.k, args.s)], threads=args.threads,
                       cells=cells)[(args.k, args.s)]
     print(f"n={res.n} s={res.s} k={res.k} provider={args.provider} "
@@ -114,29 +96,26 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        oracle = load_oracle(args.oracle_file)
-    except (OSError, ValueError) as e:
-        raise _UsageError(str(e)) from None
+    oracle = load_oracle(args.oracle_file)
     wanted = [e for e in oracle.entries
               if e.n <= args.max_n and (args.table is None
                                         or e.table == args.table)]
-    imported = {}
+    cells_by_n = {}
     if args.provider == "import":
         # a cell file holds one n: read it once and check only that n's rows
-        cells = _acquire_cells(None, args)
+        cells = resolve_cells(None, "import", file=args.file)
         file_n = cells[0].rep.n
-        imported[file_n] = cells
+        cells_by_n[file_n] = cells
         wanted = [e for e in wanted if e.n == file_n]
     if not wanted:
-        raise _UsageError(
+        raise ValueError(
             f"no oracle entries with n <= {args.max_n}"
             + (f" in table {args.table}" if args.table else "")
-            + (f" for the cell file's n={file_n}" if imported else ""))
+            + (f" for the cell file's n={file_n}" if cells_by_n else ""))
     # every n's cells before the first check line, so a provider that
     # fails at a later n leaves no partial report
-    cells_by_n = {n: imported.get(n) or _acquire_cells(n, args)
-                  for n in sorted({e.n for e in wanted})}
+    for n in sorted({e.n for e in wanted} - cells_by_n.keys()):
+        cells_by_n[n] = resolve_cells(n, args.provider, file=args.file)
     failures = 0
     for n, cells in cells_by_n.items():
         group = [e for e in wanted if e.n == n]
@@ -156,14 +135,11 @@ def cmd_verify(args) -> int:
 
 def cmd_classes(args) -> int:
     if args.provider == "import":
-        raise _UsageError("classes writes cells; use a computing provider")
+        raise ValueError("classes writes cells; use a computing provider")
     if args.file is None:
-        raise _UsageError("classes requires --file for the output path")
-    cells = _acquire_cells(args.n, args)
-    try:
-        export_cells(cells, args.file)
-    except OSError as e:
-        raise _UsageError(str(e)) from None
+        raise ValueError("classes requires --file for the output path")
+    cells = resolve_cells(args.n, args.provider, file=args.file)
+    export_cells(cells, args.file)
     total = sum(c.size for c in cells)
     print(f"n={args.n} provider={args.provider} cells={len(cells)} "
           f"total={total} file={args.file}")
@@ -172,10 +148,7 @@ def cmd_classes(args) -> int:
 
 def cmd_tau(args) -> int:
     if args.file is not None:
-        try:
-            text = Path(args.file).read_text(encoding="ascii")
-        except OSError as e:
-            raise _UsageError(str(e)) from None
+        text = Path(args.file).read_text(encoding="ascii")
     else:
         text = sys.stdin.read()
     g = element_from_text(text)
@@ -251,17 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # bad input raises ValueError or OSError; anything else is internal
     try:
         return args.func(args)
-    except _UsageError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (InexactDivisionError, CellDecompositionError, RuntimeError) as e:
+    except Exception as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (NotAffineError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -261,8 +261,7 @@ def _affine_cells_cached(n: int) -> tuple[ConjCell, ...]:
             start += t * mult
     total = sum(c.size for c in cells)
     if total != group_orders(n)[1]:
-        raise CellDecompositionError(
-            f"cell sizes sum to {total}, not |AGL({n},2)|")
+        raise RuntimeError(f"cell sizes sum to {total}, not |AGL({n},2)|")
     return tuple(cells)
 
 

@@ -17,7 +17,7 @@ from rmclass.burnside import (
 )
 from rmclass.conjclasses import CellDecompositionError, ConjCell, affine_cells, export_cells
 from rmclass.gf2 import BitVector, mat_vec
-from rmclass.group import identity
+from rmclass.group import group_orders, identity
 from rmclass.anf import space_dimension
 from rmclass.linrep import (
     fixed_space_log2,
@@ -55,7 +55,6 @@ def test_count_result_fields():
     r = count(3, 3, 1)
     assert (r.n, r.s, r.k) == (3, 3, 1)
     assert r.count == 3
-    assert r.provider == "canonical"
     assert r.cells == len(affine_cells(3))
     assert r.elapsed >= 0.0
 
@@ -175,9 +174,15 @@ def test_burnside_sum_below_group_order_raises(monkeypatch):
 def test_count_with_explicit_cells():
     cells = affine_cells(3)
     assert count(3, 3, -1, cells=cells).count == 10
-    short = cells[:-1]
-    with pytest.raises(CellDecompositionError):
-        count(3, 3, -1, cells=short)
+    # too small a size sum, and representatives for n = 4 whose sizes sum
+    # to |AGL(3,2)|: one swapped in for an n = 3 rep, or a single cell
+    ident4 = identity(4)
+    swapped = cells[:-1] + [ConjCell(ident4, cells[-1].size)]
+    single = [ConjCell(ident4, group_orders(3)[1])]
+    for bad, match in ((cells[:-1], "sum"), (swapped, "n=4, not n=3"),
+                       (single, "n=4, not n=3")):
+        with pytest.raises(CellDecompositionError, match=match):
+            count(3, 3, -1, cells=bad)
 
 
 def test_tampered_sizes_raise_inexact_division():
@@ -204,6 +209,9 @@ def test_resolve_cells_errors():
         resolve_cells(3, "import")
     with pytest.raises(ValueError):
         resolve_cells(3, "mystery")
+    for provider in ("canonical", "exhaustive"):
+        with pytest.raises(ValueError, match="import provider"):
+            resolve_cells(None, provider)
 
 
 def test_resolve_cells_import_checks_n(tmp_path):

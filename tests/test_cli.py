@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import TAU_ROWS, find_inexact_swap, make_example
-from rmclass import burnside, cli
+from rmclass import burnside, cli, conjclasses
 from rmclass.conjclasses import affine_cells, exhaustive_cells, export_cells, import_cells
 
 
@@ -99,6 +99,26 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
     assert run_cli("count", "--n", "3", "--s", "3", "--k", "-1") == 3
     assert "internal error" in capsys.readouterr().err
 
+    # a broken GL-class invariant (ArithmeticError) and a broken canonical
+    # size sum (RuntimeError); the cell caches must not keep either result
+    def clear_cell_caches():
+        conjclasses._gl_classes_cached.cache_clear()
+        conjclasses._affine_cells_cached.cache_clear()
+
+    orders = conjclasses.group_orders
+    for name, fake in (("_centralizer_order", lambda assignment: 3),
+                       ("group_orders",
+                        lambda n: (orders(n)[0], orders(n)[1] + 1))):
+        clear_cell_caches()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(conjclasses, name, fake)
+                assert run_cli("count", "--n", "3", "--s", "3",
+                               "--k", "-1") == 3
+        finally:
+            clear_cell_caches()
+        assert "internal error" in capsys.readouterr().err
+
     def broken(*args, **kwargs):
         raise RuntimeError("generators produced 1 of 24 elements")
 
@@ -177,6 +197,11 @@ def test_verify_oracle_file_errors(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("I 3 1\n")
     assert run_cli("verify", "--max-n", "3", "--oracle-file", str(bad)) == 2
+    capsys.readouterr()
+    for line in ("I 3 x 3 3", "I 3 4 3 3"):  # not an integer; k >= s
+        bad.write_text(line + "\n")
+        assert run_cli("verify", "--max-n", "3", "--oracle-file", str(bad)) == 2
+        assert "oracle line 1: bad entry" in capsys.readouterr().err
     conflicting = tmp_path / "conflict.txt"
     conflicting.write_text("I 3 1 3 3\nIII 3 1 3 4\n")
     assert run_cli("verify", "--max-n", "3", "--oracle-file", str(conflicting)) == 2
