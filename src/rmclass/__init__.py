@@ -39,6 +39,7 @@ from .conjclasses import (
     export_cells,
     gl_classes,
     import_cells,
+    rational_cells,
 )
 from .gf2 import (
     BitMatrix,

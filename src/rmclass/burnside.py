@@ -1,10 +1,12 @@
-"""Exact class counting by averaging fixed points over conjugacy cells.
+"""Exact class counting by averaging fixed points over cells of the group.
 
 For each cell (one representative g, exact size) the number of coefficient
 vectors fixed by g is 2^(d - rank(tau_g xor I)); the class count is the
-size-weighted sum over cells divided by |AGL(n,2)|. Everything is exact
-integer arithmetic; a nonzero remainder in the final division means the
-cell decomposition is broken and raises instead of rounding.
+size-weighted sum over cells divided by |AGL(n,2)|. The canonical cells are
+the rational cells of conjclasses, unions of the conjugacy classes of the
+generators of one cyclic subgroup. Everything is exact integer arithmetic;
+a nonzero remainder in the final division means the cell decomposition is
+broken and raises instead of rounding.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from .anf import check_params
 from .conjclasses import (
     CellDecompositionError,
     ConjCell,
-    affine_cells,
     exhaustive_cells,
     import_cells,
+    rational_cells,
 )
 from .group import AffineElement, group_orders
 from .linrep import fixed_space_log2, monomial_images
@@ -57,7 +59,7 @@ def resolve_cells(n: int | None, provider: str = "canonical", *,
     if provider == "exhaustive":
         return exhaustive_cells(n)
     if provider == "canonical":
-        return affine_cells(n)
+        return rational_cells(n)
     if provider == "import":
         if file is None:
             raise ValueError("the import provider requires a cell file")
@@ -89,7 +91,12 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
                 cells=None) -> dict[tuple[int, int], CountResult]:
     """Counts for several (k, s) pairs in one sweep, sharing the cell list
     and the per-cell monomial images. Returns {(k, s): CountResult}; each
-    result carries the elapsed time of the whole batch."""
+    result carries the elapsed time of the whole batch.
+
+    Given cells must partition AGL(n,2), and every member of a cell must fix
+    the same number of vectors as its representative in every window, as
+    conjugate elements and generators of one cyclic subgroup do. Only the
+    size sum and the representatives' n are checked here."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     pairs = tuple(pairs)

@@ -2,20 +2,22 @@
 export cell decompositions, dump action matrices.
 
 Exit codes: 0 success / all checks pass, 1 verification mismatch, 2 usage
-error (any ValueError or OSError), 3 internal failure (any other exception).
+error (any ValueError or OSError), 3 internal failure (any other exception,
+reported with its traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .anf import check_params
 from .burnside import PROVIDERS, count_pairs, resolve_cells
-from .conjclasses import export_cells
+from .conjclasses import affine_cells, exhaustive_cells, export_cells
 from .group import element_from_text
 from .linrep import tau_matrix
 
@@ -138,7 +140,10 @@ def cmd_classes(args) -> int:
         raise ValueError("classes writes cells; use a computing provider")
     if args.file is None:
         raise ValueError("classes requires --file for the output path")
-    cells = resolve_cells(args.n, args.provider, file=args.file)
+    # the file format promises mutually conjugate members, so the
+    # canonical provider writes the conjugacy classes it merges for counting
+    cells = (affine_cells(args.n) if args.provider == "canonical"
+             else exhaustive_cells(args.n))
     export_cells(cells, args.file)
     total = sum(c.size for c in cells)
     print(f"n={args.n} provider={args.provider} cells={len(cells)} "
@@ -231,6 +236,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:
+        traceback.print_exc()
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

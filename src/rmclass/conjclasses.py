@@ -1,6 +1,9 @@
-"""Conjugation-closed cell decompositions of AGL(n,2).
+"""Cell decompositions of AGL(n,2) for the Burnside sum.
 
-Three interchangeable providers feed the counting engine:
+The counting engine takes any list of cells that partitions the group and
+in which every member of a cell fixes the same number of vectors as the
+cell's representative in every window. The cell sizes must sum to
+|AGL(n,2)|. Four lists are built here:
 
 - exhaustive_cells: walk the whole group (n <= 4 only) and split it into
   true conjugacy classes.
@@ -9,15 +12,21 @@ Three interchangeable providers feed the counting engine:
   conjugations that fix the linear part. The orbits follow from the
   partition of the x+1 blocks in closed form (see below), so the cells are
   exactly the conjugacy classes.
+- rational_cells: the conjugacy classes of affine_cells merged, for each
+  g, with the classes of every power g^j, gcd(j, ord g) = 1. These
+  generate the same cyclic subgroup as g, so they fix the same vectors.
+  The canonical counting path sums over this shorter list (790 cells
+  against 1967 classes at n = 10).
 - import_cells: read a decomposition computed elsewhere from a text file.
 
-Every provider guarantees: each cell's members are mutually conjugate, and
-cell sizes sum to |AGL(n,2)|.
+The cells of exhaustive_cells, affine_cells and the cell file format are
+conjugacy classes: each cell's members are mutually conjugate.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -43,7 +52,8 @@ class CellDecompositionError(ValueError):
 
 @dataclass(frozen=True)
 class ConjCell:
-    """A set of mutually conjugate elements: one representative, exact size."""
+    """A cell of the group: one representative and the exact size. Every
+    member fixes as many vectors as the representative in every window."""
 
     rep: AffineElement
     size: int
@@ -273,6 +283,131 @@ def affine_cells(n: int) -> list[ConjCell]:
     return list(_affine_cells_cached(n))
 
 
+# --- rational cells: the classes of g^j, gcd(j, ord g) = 1, merged ---------
+#
+# g and g^j generate the same cyclic subgroup, so they fix the same vectors
+# in every window, and the Burnside sum may run over the union of their
+# classes with the sizes added. On a GL class, an odd j prime to the order
+# of A's semisimple part keeps every partition and sends each irreducible p
+# to the minimal polynomial of alpha^j, alpha a root of p. Write the roots
+# of p as gamma^e for a root gamma of a primitive polynomial of p's degree
+# m; then j multiplies e mod 2^m - 1. On the affine part, A^j xor I is
+# (A xor I) times a unit, and the translation of g^j is
+# (I + A + ... + A^(j-1)) b = j b = b mod Im(A xor I), because A is the
+# identity on V/Im(A xor I); so the fiber orbit index t carries over.
+#
+# Every semisimple order divides L = lcm(2^m - 1, m <= 10) = 3^2 5 7 11 17
+# 31 73 127, so any odd power prime to L is sound. The merge is the orbit
+# partition under the group these primes generate; a brute loop over every
+# j gives the same cells for n <= 10. A missing generator only merges less.
+_SEMISIMPLE_LCM = math.lcm(*((1 << m) - 1 for m in range(1, 11)))
+_POWERS = (13, 19, 23, 29, 37, 41, 43, 47)
+
+
+def _min_polys(m: int) -> dict[int, int]:
+    """{e: minimal polynomial of gamma^e} for every e in 0..2^m - 2 whose
+    conjugates gamma^(e 2^i) are m distinct roots, with gamma = x in
+    GF(2)[x]/P for the first primitive P of degree m."""
+    order = (1 << m) - 1
+    for prim in irreducible_polys(m):
+        if prim.bit_length() != m + 1:
+            continue
+        power = [1]  # power[e] = gamma^e, packed like the polynomials
+        for _ in range(order - 1):
+            x = power[-1] << 1
+            power.append(x ^ prim if x >> m else x)
+        if len(set(power)) == order:
+            break
+    log = {v: e for e, v in enumerate(power)}
+    out = {}
+    for e in range(order):
+        if e in out:
+            continue
+        coset = {(e << i) % order for i in range(m)}
+        if len(coset) != m:
+            continue  # gamma^e lies in a proper subfield
+        coeffs = [1]  # low to high, over GF(2^m): prod of (X + gamma^c)
+        for c in coset:
+            nxt = [0] + coeffs
+            for i, a in enumerate(coeffs):
+                if a:
+                    nxt[i] ^= power[(log[a] + c) % order]
+            coeffs = nxt
+        if any(a > 1 for a in coeffs):
+            raise RuntimeError(
+                f"minimal polynomial of gamma^{e} is not over GF(2)")
+        out.update(dict.fromkeys(coset,
+                                 sum(a << i for i, a in enumerate(coeffs))))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _rational_groups(n: int) -> tuple[tuple[ConjCell, ...], ...]:
+    """The conjugacy classes of AGL(n,2) grouped into rational cells: the
+    classes of g^j for every j prime to ord(g), one tuple each."""
+    for r in _POWERS:
+        if r % 2 == 0 or math.gcd(r, _SEMISIMPLE_LCM) != 1:
+            raise RuntimeError(f"power {r} is not prime to 2 L")
+    classes = gl_classes(n)
+    index = {cls.assignment: i for i, cls in enumerate(classes)}
+    power_of = {}  # (p, r) -> minimal polynomial of alpha^r, p(alpha) = 0
+    for m in range(1, n + 1):
+        by_exp = _min_polys(m)
+        order = (1 << m) - 1
+        for e, p in by_exp.items():
+            for r in _POWERS:
+                power_of[p, r] = by_exp[e * r % order]
+
+    root = list(range(len(classes)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for i, cls in enumerate(classes):
+        for r in _POWERS:
+            image = tuple(sorted((power_of[p, r], lam)
+                                 for p, lam in cls.assignment))
+            if image not in index:
+                raise RuntimeError(f"power {r} of GL class {i} is no class")
+            a, b = sorted((find(i), find(index[image])))
+            root[b] = a
+
+    # the cells of one GL class are consecutive, zero coset first, then
+    # one per distinct x+1 block size t, largest first; merged classes share
+    # the x+1 partition, so their cells pair up by position
+    fibers = {}
+    for cell in _affine_cells_cached(n):
+        fibers.setdefault(cell.rep.a.row_bits, []).append(cell)
+    merged = {}
+    for i, cls in enumerate(classes):
+        merged.setdefault(find(i), []).append(fibers[cls.rep.row_bits])
+    groups = []
+    for members in merged.values():
+        if len({len(cells) for cells in members}) != 1:
+            raise RuntimeError("merged GL classes split into different "
+                               "numbers of fiber orbits")
+        groups.extend(zip(*members))
+    total = sum(c.size for group in groups for c in group)
+    if total != group_orders(n)[1]:
+        raise RuntimeError(
+            f"rational cell sizes sum to {total}, not |AGL({n},2)|")
+    return tuple(groups)
+
+
+def rational_cells(n: int) -> list[ConjCell]:
+    """The rational cells of AGL(n,2): each is the union of the conjugacy
+    classes of g^j for every j prime to ord(g), with the class sizes added.
+    Every member of a cell generates a cyclic subgroup conjugate to that of
+    the representative, so all fix the same number of vectors in every
+    window; the counting engine sums over these cells."""
+    if not 1 <= n <= 10:
+        raise ValueError(f"n={n} out of supported range 1..10")
+    return [ConjCell(group[0].rep, sum(c.size for c in group))
+            for group in _rational_groups(n)]
+
+
 # --- exhaustive small-n provider --------------------------------------------
 
 def _agl_generators(n: int) -> list[AffineElement]:
@@ -288,11 +423,12 @@ def _agl_generators(n: int) -> list[AffineElement]:
             for rows, b in gens]
 
 
-@functools.lru_cache(maxsize=None)
-def _exhaustive_cells_cached(n: int) -> tuple[ConjCell, ...]:
-    # an element is its table of point images (to_permutation), 2^n bytes;
-    # padded with the identity on 2^n..255 it is a bytes.translate table,
-    # so a.translate(g + pad) is g o a
+def _point_table_classes(n: int) -> dict[bytes, set[bytes]]:
+    """The conjugacy classes of AGL(n,2) by full enumeration, each element
+    as its table of point images (to_permutation), 2^n bytes. Each class is
+    keyed by its smallest table, in increasing order of the keys."""
+    # padded with the identity on 2^n..255 a table is a bytes.translate
+    # table, so a.translate(g + pad) is g o a
     order = group_orders(n)[1]
     size = 1 << n
     pad = bytes(range(size, 256))
@@ -323,7 +459,7 @@ def _exhaustive_cells_cached(n: int) -> tuple[ConjCell, ...]:
     # conjugating by a generating set reaches the whole conjugacy class;
     # ginv.translate(a + pad).translate(g) is g o a o g^-1; each class
     # found leaves the set, so what stays is not yet in a class
-    cells = []
+    classes = {}
     for key in sorted(elements):
         if key not in elements:
             continue
@@ -337,9 +473,16 @@ def _exhaustive_cells_cached(n: int) -> tuple[ConjCell, ...]:
                     cls.add(c)
                     queue.append(c)
         elements -= cls
-        # key is the smallest table of its class; only the reps are decoded
-        cells.append(ConjCell(from_permutation(Permutation(n, tuple(key))),
-                              len(cls)))
+        classes[key] = cls
+    return classes
+
+
+@functools.lru_cache(maxsize=None)
+def _exhaustive_cells_cached(n: int) -> tuple[ConjCell, ...]:
+    order = group_orders(n)[1]
+    # only the reps are decoded
+    cells = [ConjCell(from_permutation(Permutation(n, tuple(key))), len(cls))
+             for key, cls in _point_table_classes(n).items()]
     if sum(c.size for c in cells) != order:
         raise RuntimeError(
             f"class sizes sum to {sum(c.size for c in cells)}, not {order}")

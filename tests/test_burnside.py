@@ -15,7 +15,13 @@ from rmclass.burnside import (
     resolve_cells,
     symmetry_check,
 )
-from rmclass.conjclasses import CellDecompositionError, ConjCell, affine_cells, export_cells
+from rmclass.conjclasses import (
+    CellDecompositionError,
+    ConjCell,
+    affine_cells,
+    export_cells,
+    rational_cells,
+)
 from rmclass.gf2 import BitVector, mat_vec
 from rmclass.group import group_orders, identity
 from rmclass.anf import space_dimension
@@ -55,7 +61,7 @@ def test_count_result_fields():
     r = count(3, 3, 1)
     assert (r.n, r.s, r.k) == (3, 3, 1)
     assert r.count == 3
-    assert r.cells == len(affine_cells(3))
+    assert r.cells == len(rational_cells(3))
     assert r.elapsed >= 0.0
 
 
@@ -95,6 +101,18 @@ def test_count_pairs_matches_single_counts():
     for (k, s), r in results.items():
         assert r.count == count(3, s, k).count
         assert (r.n, r.s, r.k) == (3, s, k)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rational_counts_equal_class_counts(n):
+    # the canonical path sums over rational cells; summed over the exact
+    # conjugacy classes instead, every count is the same
+    pairs = all_pairs(n)
+    merged = count_pairs(n, pairs)
+    unmerged = count_pairs(n, pairs, cells=affine_cells(n))
+    assert {p: r.count for p, r in merged.items()} == \
+           {p: r.count for p, r in unmerged.items()}
+    assert {r.cells for r in merged.values()} == {len(rational_cells(n))}
 
 
 def test_count_pairs_threads_agree():

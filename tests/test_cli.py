@@ -6,7 +6,13 @@ import pytest
 
 from conftest import TAU_ROWS, find_inexact_swap, make_example
 from rmclass import burnside, cli, conjclasses
-from rmclass.conjclasses import affine_cells, exhaustive_cells, export_cells, import_cells
+from rmclass.conjclasses import (
+    affine_cells,
+    exhaustive_cells,
+    export_cells,
+    import_cells,
+    rational_cells,
+)
 
 
 def run_cli(*args):
@@ -30,7 +36,7 @@ def test_count_basic(capsys):
     assert d["n"] == "3" and d["s"] == "3" and d["k"] == "1"
     assert d["count"] == "3"
     assert d["provider"] == "canonical"
-    assert int(d["cells"]) == len(affine_cells(3))
+    assert int(d["cells"]) == len(rational_cells(3))
     assert float(d["elapsed"]) >= 0.0
 
 
@@ -93,22 +99,34 @@ def test_classes_takes_no_threads(capsys, tmp_path):
 
 
 def test_internal_raises_exit_3(capsys, monkeypatch):
-    # the library's invariant checks raise; the CLI maps them to exit 3
-    monkeypatch.setattr(burnside, "_pair_partial_sums",
-                        lambda n, pairs, cells: [0] * len(pairs))
-    assert run_cli("count", "--n", "3", "--s", "3", "--k", "-1") == 3
-    assert "internal error" in capsys.readouterr().err
+    # the library's invariant checks raise; the CLI maps them to exit 3 and
+    # prints the traceback, naming the raising function, before its last
+    # line `internal error: <message>`
+    def internal_error(raiser):
+        err = capsys.readouterr().err
+        assert f", in {raiser}\n" in err
+        assert err.splitlines()[-1].startswith("internal error: ")
+
+    # patched for this case only, so the cases below cannot exit 3 through
+    # the inexact division; it leaves the n = 3 cells cached
+    with monkeypatch.context() as m:
+        m.setattr(burnside, "_pair_partial_sums",
+                  lambda n, pairs, cells: [0] * len(pairs))
+        assert run_cli("count", "--n", "3", "--s", "3", "--k", "-1") == 3
+    internal_error("count_pairs")
 
     # a broken GL-class invariant (ArithmeticError) and a broken canonical
     # size sum (RuntimeError); the cell caches must not keep either result
     def clear_cell_caches():
         conjclasses._gl_classes_cached.cache_clear()
         conjclasses._affine_cells_cached.cache_clear()
+        conjclasses._rational_groups.cache_clear()
 
     orders = conjclasses.group_orders
-    for name, fake in (("_centralizer_order", lambda assignment: 3),
-                       ("group_orders",
-                        lambda n: (orders(n)[0], orders(n)[1] + 1))):
+    for name, fake, raiser in (
+            ("_centralizer_order", lambda assignment: 3, "_gl_classes_cached"),
+            ("group_orders", lambda n: (orders(n)[0], orders(n)[1] + 1),
+             "_affine_cells_cached")):
         clear_cell_caches()
         try:
             with monkeypatch.context() as m:
@@ -117,14 +135,14 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
                                "--k", "-1") == 3
         finally:
             clear_cell_caches()
-        assert "internal error" in capsys.readouterr().err
+        internal_error(raiser)
 
     def broken(*args, **kwargs):
         raise RuntimeError("generators produced 1 of 24 elements")
 
     monkeypatch.setattr(cli, "resolve_cells", broken)
     assert run_cli("count", "--n", "2", "--s", "2", "--k", "-1") == 3
-    assert "internal error" in capsys.readouterr().err
+    internal_error("broken")
 
 
 def test_count_import_wrong_n(capsys, tmp_path):

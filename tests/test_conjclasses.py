@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -16,8 +17,10 @@ from rmclass.conjclasses import (
     gl_classes,
     import_cells,
     irreducible_polys,
+    rational_cells,
 )
 from rmclass.gf2 import identity as identity_matrix, mat_mul, rank
+from rmclass.linrep import fixed_space_log2, monomial_images
 from rmclass.group import (
     AffineElement,
     BitMatrix,
@@ -341,3 +344,105 @@ def test_affine_cells_rejects_out_of_range():
         affine_cells(11)
     with pytest.raises(ValueError):
         affine_cells(0)
+
+
+# --- rational cells: the classes of g^j, gcd(j, ord g) = 1, merged ----------
+
+RATIONAL_CELLS = [2, 5, 10, 22, 40, 80, 140, 260, 447, 790]
+
+
+def test_rational_cells_cover_group():
+    for n, want in enumerate(RATIONAL_CELLS, 1):
+        cells = rational_cells(n)
+        assert len(cells) == want
+        assert sum(c.size for c in cells) == group_orders(n)[1]
+        assert all(c.rep.n == n for c in cells)
+    with pytest.raises(ValueError):
+        rational_cells(11)
+
+
+def test_rational_powers_are_sound():
+    # every power must be prime to the order of every semisimple part, or
+    # it would merge the classes of elements with different cyclic groups
+    for r in conjclasses._POWERS:
+        assert r % 2 == 1
+        assert all(math.gcd(r, (1 << m) - 1) == 1 for m in range(1, 11))
+    for m in range(1, 11):
+        # each irreducible of degree m is the minimal polynomial of its m
+        # roots, and of nothing else
+        assert Counter(conjclasses._min_polys(m).values()) == {
+            p: m for p in irreducible_polys(m) if p.bit_length() == m + 1}
+
+
+def merged_gl_partition(n):
+    """GL class index -> smallest index of the GL classes merged with it."""
+    index = {cls.rep.row_bits: i for i, cls in enumerate(gl_classes(n))}
+    out = {}
+    for group in conjclasses._rational_groups(n):
+        ids = {index[c.rep.a.row_bits] for c in group}
+        out.update(dict.fromkeys(ids, min(ids)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rational_merge_is_every_power(n):
+    # a brute loop over every j prime to each class's semisimple order:
+    # the fixed powers generate the same merge
+    roots = {m: conjclasses._min_polys(m) for m in range(1, n + 1)}
+    exps = {p: (m, e) for m, by_exp in roots.items()
+            for e, p in by_exp.items()}
+
+    def power(p, j):  # the minimal polynomial of alpha^j, p(alpha) = 0
+        m, e = exps[p]
+        return roots[m][e * j % ((1 << m) - 1)]
+
+    def root_order(p):
+        m, e = exps[p]
+        return ((1 << m) - 1) // math.gcd(e, (1 << m) - 1)
+
+    classes = gl_classes(n)
+    index = {cls.assignment: i for i, cls in enumerate(classes)}
+    want = {}
+    for i, cls in enumerate(classes):
+        if i in want:
+            continue
+        order = math.lcm(*(root_order(p) for p, _ in cls.assignment))
+        for j in range(1, order + 1):
+            if math.gcd(j, order) == 1:
+                image = tuple(sorted((power(p, j), lam)
+                                     for p, lam in cls.assignment))
+                want[index[image]] = i
+    assert merged_gl_partition(n) == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rational_groups_share_fixdims(n):
+    pairs = [(k, s) for k in range(-1, n) for s in range(k + 1, n + 1)]
+    for group in conjclasses._rational_groups(n):
+        profiles = {tuple(fixed_space_log2(monomial_images(c.rep), n, pairs))
+                    for c in group}
+        assert len(profiles) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rational_cells_are_power_classes(n):
+    # each rational cell is the union of the true classes of g^j over every
+    # j prime to ord(g), all found from point tables
+    classes = conjclasses._point_table_classes(n)
+    owner = {t: key for key, cls in classes.items() for t in cls}
+    ident = bytes(range(1 << n))
+    want = set()
+    for key in classes:
+        powers = [key]  # powers[j - 1] is g^j
+        while powers[-1] != ident:
+            powers.append(bytes(key[x] for x in powers[-1]))
+        want.add(frozenset(owner[powers[j - 1]]
+                           for j in range(1, len(powers) + 1)
+                           if math.gcd(j, len(powers)) == 1))
+    groups = conjclasses._rational_groups(n)
+    got = [frozenset(owner[bytes(to_permutation(c.rep).images)]
+                     for c in group) for group in groups]
+    assert [len(keys) for keys in got] == [len(group) for group in groups]
+    assert len(got) == len(want) and set(got) == want
+    assert [c.size for c in rational_cells(n)] == [
+        sum(len(classes[key]) for key in keys) for keys in got]
