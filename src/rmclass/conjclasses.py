@@ -12,11 +12,12 @@ cell's representative in every window. The cell sizes must sum to
   conjugations that fix the linear part. The orbits follow from the
   partition of the x+1 blocks in closed form (see below), so the cells are
   exactly the conjugacy classes.
-- rational_cells: the conjugacy classes of affine_cells merged, for each
-  g, with the classes of every power g^j, gcd(j, ord g) = 1. These
-  generate the same cyclic subgroup as g, so they fix the same vectors.
-  The canonical counting path sums over this shorter list (790 cells
-  against 1967 classes at n = 10).
+- rational_cells: first merge the GL class of each A with the classes of
+  every power A^j, gcd(j, ord A) = 1; then the same fiber split runs once
+  per merged group, with the class sizes summed. Each cell is the union of
+  the conjugacy classes of the g^j, which generate the same cyclic subgroup
+  as g and so fix the same vectors. The canonical counting path sums over
+  this shorter list (790 cells against 1967 classes at n = 10).
 - import_cells: read a decomposition computed elsewhere from a text file.
 
 The cells of exhaustive_cells, affine_cells and the cell file format are
@@ -197,14 +198,14 @@ def _gl_classes_cached(n: int) -> tuple[GlClassDescriptor, ...]:
         if remaining == 0:
             assignments.append(tuple(chosen))
             return
-        if i == len(polys):
-            return
-        deg = polys[i].bit_length() - 1
-        rec(i + 1, remaining, chosen)
-        for weight in range(1, remaining // deg + 1):
-            for lam in _partitions(weight):
-                rec(i + 1, remaining - weight * deg,
-                    chosen + [(polys[i], lam)])
+        for j in range(i, len(polys)):
+            deg = polys[j].bit_length() - 1
+            if deg > remaining:
+                return  # polys is sorted by degree: no later one fits
+            for weight in range(1, remaining // deg + 1):
+                for lam in _partitions(weight):
+                    rec(j + 1, remaining - weight * deg,
+                        chosen + [(polys[j], lam)])
 
     rec(0, n, [])
     out = []
@@ -231,59 +232,7 @@ def gl_classes(n: int) -> list[GlClassDescriptor]:
     return list(_gl_classes_cached(n))
 
 
-# --- the fiber over one GL class -------------------------------------------
-#
-# Conjugating (A, b) by (C, d) with C in the centralizer of A gives
-# (A, C b xor (A xor I) d): the linear part is untouched and the translation
-# moves by C plus anything in Im(A xor I). So the classes over A are the
-# orbits of the centralizer on V/Im(A xor I), each coset holding
-# 2^rank(A xor I) translations.
-#
-# A xor I is invertible on every primary block except those of x+1, so only
-# the companion blocks of (x+1)^t reach the quotient. They come first in the
-# class rep (x+1 sorts first among the irreducibles), largest first, and
-# each adds one quotient coordinate, spanned by the block's cyclic vector
-# e_start. A centralizer element can add the coordinate of a block into the
-# coordinate of any block of equal or smaller size, and acts as GL on the
-# blocks of one size. So besides {0}, there is one orbit per distinct part t
-# of the partition: the vectors that vanish on the blocks larger than t and
-# not on every block of size t. With m_t blocks of size t, it holds
-# (2^m_t - 1) 2^(blocks smaller than t) cosets.
-
-@functools.lru_cache(maxsize=None)
-def _affine_cells_cached(n: int) -> tuple[ConjCell, ...]:
-    cells = []
-    for cls in gl_classes(n):
-        poly, lam = cls.assignment[0]
-        if poly != 0b11:  # no x+1 blocks: A xor I is invertible
-            lam = ()
-        # rank(A xor I) = n - (number of x+1 blocks)
-        coset = cls.size << (n - len(lam))
-        cells.append(ConjCell(AffineElement(n, cls.rep, BitVector(n, 0)),
-                              coset))
-        start = above = 0
-        for t, mult in sorted(Counter(lam).items(), reverse=True):
-            above += mult
-            orbit = ((1 << mult) - 1) << (len(lam) - above)
-            cells.append(ConjCell(
-                AffineElement(n, cls.rep, BitVector(n, 1 << start)),
-                coset * orbit))
-            start += t * mult
-    total = sum(c.size for c in cells)
-    if total != group_orders(n)[1]:
-        raise RuntimeError(f"cell sizes sum to {total}, not |AGL({n},2)|")
-    return tuple(cells)
-
-
-def affine_cells(n: int) -> list[ConjCell]:
-    """The conjugacy classes of AGL(n,2), one cell each, from the GL
-    canonical forms and the closed-form orbits on each fiber."""
-    if not 1 <= n <= 10:
-        raise ValueError(f"n={n} out of supported range 1..10")
-    return list(_affine_cells_cached(n))
-
-
-# --- rational cells: the classes of g^j, gcd(j, ord g) = 1, merged ---------
+# --- rational groups: the GL classes of g^j, gcd(j, ord g) = 1, merged -----
 #
 # g and g^j generate the same cyclic subgroup, so they fix the same vectors
 # in every window, and the Burnside sum may run over the union of their
@@ -294,7 +243,8 @@ def affine_cells(n: int) -> list[ConjCell]:
 # m; then j multiplies e mod 2^m - 1. On the affine part, A^j xor I is
 # (A xor I) times a unit, and the translation of g^j is
 # (I + A + ... + A^(j-1)) b = j b = b mod Im(A xor I), because A is the
-# identity on V/Im(A xor I); so the fiber orbit index t carries over.
+# identity on V/Im(A xor I); so the fiber orbit index t carries over, and
+# the fiber split below runs once per merged group, with the sizes summed.
 #
 # Every semisimple order divides L = lcm(2^m - 1, m <= 10) = 3^2 5 7 11 17
 # 31 73 127, so any odd power prime to L is sound. The merge is the orbit
@@ -342,9 +292,9 @@ def _min_polys(m: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _rational_groups(n: int) -> tuple[tuple[ConjCell, ...], ...]:
-    """The conjugacy classes of AGL(n,2) grouped into rational cells: the
-    classes of g^j for every j prime to ord(g), one tuple each."""
+def _rational_groups(n: int) -> tuple[tuple[GlClassDescriptor, ...], ...]:
+    """The GL(n,2) classes of A^j for every j prime to ord(A), one tuple
+    per cyclic subgroup, each led by its first class, in that order."""
     for r in _POWERS:
         if r % 2 == 0 or math.gcd(r, _SEMISIMPLE_LCM) != 1:
             raise RuntimeError(f"power {r} is not prime to 2 L")
@@ -358,42 +308,92 @@ def _rational_groups(n: int) -> tuple[tuple[ConjCell, ...], ...]:
             for r in _POWERS:
                 power_of[p, r] = by_exp[e * r % order]
 
-    root = list(range(len(classes)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    for i, cls in enumerate(classes):
-        for r in _POWERS:
-            image = tuple(sorted((power_of[p, r], lam)
-                                 for p, lam in cls.assignment))
-            if image not in index:
-                raise RuntimeError(f"power {r} of GL class {i} is no class")
-            a, b = sorted((find(i), find(index[image])))
-            root[b] = a
-
-    # the cells of one GL class are consecutive, zero coset first, then
-    # one per distinct x+1 block size t, largest first; merged classes share
-    # the x+1 partition, so their cells pair up by position
-    fibers = {}
-    for cell in _affine_cells_cached(n):
-        fibers.setdefault(cell.rep.a.row_bits, []).append(cell)
-    merged = {}
-    for i, cls in enumerate(classes):
-        merged.setdefault(find(i), []).append(fibers[cls.rep.row_bits])
+    # walk each orbit: the loop over group also visits what it appends
+    placed = set()
     groups = []
-    for members in merged.values():
-        if len({len(cells) for cells in members}) != 1:
-            raise RuntimeError("merged GL classes split into different "
-                               "numbers of fiber orbits")
-        groups.extend(zip(*members))
-    total = sum(c.size for group in groups for c in group)
-    if total != group_orders(n)[1]:
-        raise RuntimeError(
-            f"rational cell sizes sum to {total}, not |AGL({n},2)|")
+    for i in range(len(classes)):
+        if i in placed:
+            continue
+        placed.add(i)
+        group = [i]
+        for j in group:
+            for r in _POWERS:
+                image = tuple(sorted((power_of[p, r], lam)
+                                     for p, lam in classes[j].assignment))
+                k = index.get(image)
+                if k is None:
+                    raise RuntimeError(f"power {r} of GL class {j}: no class")
+                if k not in placed:
+                    placed.add(k)
+                    group.append(k)
+        groups.append(tuple(classes[j] for j in group))
     return tuple(groups)
+
+
+# --- the fiber over one group of GL classes --------------------------------
+#
+# Conjugating (A, b) by (C, d) with C in the centralizer of A gives
+# (A, C b xor (A xor I) d): the linear part is untouched and the translation
+# moves by C plus anything in Im(A xor I). So the classes over A are the
+# orbits of the centralizer on V/Im(A xor I), each coset holding
+# 2^rank(A xor I) translations.
+#
+# A xor I is invertible on every primary block except those of x+1, so only
+# the companion blocks of (x+1)^t reach the quotient. They come first in the
+# class rep (x+1 sorts first among the irreducibles), largest first, and
+# each adds one quotient coordinate, spanned by the block's cyclic vector
+# e_start. A centralizer element can add the coordinate of a block into the
+# coordinate of any block of equal or smaller size, and acts as GL on the
+# blocks of one size. So besides {0}, there is one orbit per distinct part t
+# of the partition: the vectors that vanish on the blocks larger than t and
+# not on every block of size t. With m_t blocks of size t, it holds
+# (2^m_t - 1) 2^(blocks smaller than t) cosets.
+
+def _x1_partition(cls: GlClassDescriptor) -> tuple[int, ...]:
+    """The sizes of the companion blocks of (x+1)^t in the class rep."""
+    poly, lam = cls.assignment[0]
+    return lam if poly == 0b11 else ()
+
+
+def _fiber_cells(n: int, groups) -> tuple[ConjCell, ...]:
+    """The cells over each group of GL classes: the zero coset, then one
+    cell per distinct x+1 block size t, largest first. The reps are those
+    of the group's first class, and the sizes count every class."""
+    cells = []
+    for group in groups:
+        lam = _x1_partition(group[0])
+        if any(_x1_partition(cls) != lam for cls in group):
+            raise RuntimeError("merged GL classes have different x+1 "
+                               f"partitions: {group[0].assignment}")
+        rep = group[0].rep
+        # rank(A xor I) = n - (number of x+1 blocks)
+        coset = sum(cls.size for cls in group) << (n - len(lam))
+        cells.append(ConjCell(AffineElement(n, rep, BitVector(n, 0)), coset))
+        start = above = 0
+        for t, mult in sorted(Counter(lam).items(), reverse=True):
+            above += mult
+            orbit = ((1 << mult) - 1) << (len(lam) - above)
+            cells.append(ConjCell(
+                AffineElement(n, rep, BitVector(n, 1 << start)),
+                coset * orbit))
+            start += t * mult
+    total = sum(c.size for c in cells)
+    if total != group_orders(n)[1]:
+        raise RuntimeError(f"cell sizes sum to {total}, not |AGL({n},2)|")
+    return tuple(cells)
+
+
+@functools.lru_cache(maxsize=None)
+def _affine_cells_cached(n: int) -> tuple[ConjCell, ...]:
+    return _fiber_cells(n, [(cls,) for cls in gl_classes(n)])
+
+
+def affine_cells(n: int) -> list[ConjCell]:
+    """The conjugacy classes of AGL(n,2), one cell each, from the GL
+    canonical forms and the closed-form orbits on each fiber."""
+    if not 1 <= n <= 10:
+        raise ValueError(f"n={n} out of supported range 1..10")
+    return list(_affine_cells_cached(n))
 
 
 def rational_cells(n: int) -> list[ConjCell]:
@@ -404,8 +404,7 @@ def rational_cells(n: int) -> list[ConjCell]:
     window; the counting engine sums over these cells."""
     if not 1 <= n <= 10:
         raise ValueError(f"n={n} out of supported range 1..10")
-    return [ConjCell(group[0].rep, sum(c.size for c in group))
-            for group in _rational_groups(n)]
+    return list(_fiber_cells(n, _rational_groups(n)))
 
 
 # --- exhaustive small-n provider --------------------------------------------

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from conftest import find_inexact_swap, make_example
+from conftest import clear_cell_caches, find_inexact_swap, make_example
 from helpers_oracle import FROZEN_COUNTS, brute_class_count, valid_pairs
-from rmclass import burnside
+from rmclass import burnside, conjclasses
 from rmclass.burnside import (
     InexactDivisionError,
     all_pairs,
@@ -113,6 +113,27 @@ def test_rational_counts_equal_class_counts(n):
     assert {p: r.count for p, r in merged.items()} == \
            {p: r.count for p, r in unmerged.items()}
     assert {r.cells for r in merged.values()} == {len(rational_cells(n))}
+
+
+def test_canonical_path_builds_no_conjugacy_classes(monkeypatch):
+    # the rational cells come from the merged GL classes alone; the
+    # conjugacy classes (1,967 at n = 10) are built only for affine_cells
+    def refuse(n):
+        raise AssertionError("the canonical path built the conjugacy classes")
+
+    n, s, k = 5, 3, 1
+    clear_cell_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(conjclasses, "_affine_cells_cached", refuse)
+            cells = rational_cells(n)
+            got = count(n, s, k)
+    finally:
+        clear_cell_caches()
+    assert sum(c.size for c in cells) == group_orders(n)[1]
+    assert got.cells == len(cells)
+    unmerged = count_pairs(n, [(k, s)], cells=affine_cells(n))[k, s]
+    assert got.count == unmerged.count
 
 
 def test_count_pairs_threads_agree():

@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
-from conftest import TAU_ROWS, find_inexact_swap, make_example
+from conftest import (
+    TAU_ROWS,
+    clear_cell_caches,
+    find_inexact_swap,
+    make_example,
+)
 from rmclass import burnside, cli, conjclasses
 from rmclass.conjclasses import (
     affine_cells,
@@ -117,16 +122,11 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
 
     # a broken GL-class invariant (ArithmeticError) and a broken canonical
     # size sum (RuntimeError); the cell caches must not keep either result
-    def clear_cell_caches():
-        conjclasses._gl_classes_cached.cache_clear()
-        conjclasses._affine_cells_cached.cache_clear()
-        conjclasses._rational_groups.cache_clear()
-
     orders = conjclasses.group_orders
     for name, fake, raiser in (
             ("_centralizer_order", lambda assignment: 3, "_gl_classes_cached"),
             ("group_orders", lambda n: (orders(n)[0], orders(n)[1] + 1),
-             "_affine_cells_cached")):
+             "_fiber_cells")):
         clear_cell_caches()
         try:
             with monkeypatch.context() as m:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import all_elements, all_matrices
+from conftest import all_elements, all_matrices, clear_cell_caches
 from helpers_orbits import coset_reducer, sampled_fiber_orbits
 from rmclass import conjclasses
 from rmclass.conjclasses import (
@@ -349,6 +349,14 @@ def test_affine_cells_rejects_out_of_range():
 # --- rational cells: the classes of g^j, gcd(j, ord g) = 1, merged ----------
 
 RATIONAL_CELLS = [2, 5, 10, 22, 40, 80, 140, 260, 447, 790]
+GL_CLASSES = [1, 3, 6, 14, 27, 60, 117, 246, 490, 1002]  # OEIS A006951
+AFFINE_CLASSES = [2, 5, 11, 25, 52, 112, 229, 475, 965, 1967]
+
+
+def test_class_counts():
+    for n, (gl, affine) in enumerate(zip(GL_CLASSES, AFFINE_CLASSES), 1):
+        assert len(gl_classes(n)) == gl
+        assert len(affine_cells(n)) == affine
 
 
 def test_rational_cells_cover_group():
@@ -376,11 +384,26 @@ def test_rational_powers_are_sound():
 
 def merged_gl_partition(n):
     """GL class index -> smallest index of the GL classes merged with it."""
-    index = {cls.rep.row_bits: i for i, cls in enumerate(gl_classes(n))}
+    index = {cls.assignment: i for i, cls in enumerate(gl_classes(n))}
     out = {}
     for group in conjclasses._rational_groups(n):
-        ids = {index[c.rep.a.row_bits] for c in group}
+        ids = {index[cls.assignment] for cls in group}
         out.update(dict.fromkeys(ids, min(ids)))
+    return out
+
+
+def rational_cell_classes(n):
+    """The conjugacy classes of affine_cells(n) that make up each rational
+    cell, in the order of rational_cells(n): for each GL class of the
+    cell's group, the class with that linear part and the cell's
+    translation. Every class is used exactly once."""
+    classes = {(c.rep.a, c.rep.b): c for c in affine_cells(n)}
+    group_of = {group[0].rep: group
+                for group in conjclasses._rational_groups(n)}
+    out = [tuple(classes.pop((cls.rep, cell.rep.b))
+                 for cls in group_of[cell.rep.a])
+           for cell in rational_cells(n)]
+    assert not classes
     return out
 
 
@@ -418,7 +441,7 @@ def test_rational_merge_is_every_power(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_rational_groups_share_fixdims(n):
     pairs = [(k, s) for k in range(-1, n) for s in range(k + 1, n + 1)]
-    for group in conjclasses._rational_groups(n):
+    for group in rational_cell_classes(n):
         profiles = {tuple(fixed_space_log2(monomial_images(c.rep), n, pairs))
                     for c in group}
         assert len(profiles) == 1
@@ -439,10 +462,45 @@ def test_rational_cells_are_power_classes(n):
         want.add(frozenset(owner[powers[j - 1]]
                            for j in range(1, len(powers) + 1)
                            if math.gcd(j, len(powers)) == 1))
-    groups = conjclasses._rational_groups(n)
+    groups = rational_cell_classes(n)
     got = [frozenset(owner[bytes(to_permutation(c.rep).images)]
                      for c in group) for group in groups]
     assert [len(keys) for keys in got] == [len(group) for group in groups]
     assert len(got) == len(want) and set(got) == want
     assert [c.size for c in rational_cells(n)] == [
         sum(len(classes[key]) for key in keys) for keys in got]
+
+
+# --- the invariant checks of the cell build ---------------------------------
+
+def gl2_groups(*indices):
+    """A merge of the GL(2,2) classes, given as tuples of class indices.
+    Their x+1 partitions are (1, 1), (2,) and ()."""
+    return lambda n: tuple(tuple(gl_classes(2)[i] for i in ids)
+                           for ids in indices)
+
+
+@pytest.mark.parametrize("name, fake, match", [
+    # 3 divides 2^2 - 1, so g^3 may generate a smaller cyclic group than g
+    ("_POWERS", (3,) + conjclasses._POWERS, "not prime"),
+    # a table that names x+1 as the minimal polynomial of a root of degree
+    # 2: the power 23 then swaps x+1 and x^2+x+1, and the image of the
+    # identity has degree 4
+    ("_min_polys",
+     lambda m, real=conjclasses._min_polys:
+         {1: 0b11, 2: 0b111} if m == 2 else real(m),
+     "no class"),
+    ("_rational_groups", gl2_groups((0, 1), (2,)), "x\\+1 partitions"),
+    # a merge that loses the class of x^2+x+1
+    ("_rational_groups", gl2_groups((0,), (1,)), "sum"),
+], ids=["power-not-prime", "image-no-class", "mixed-x1-partitions",
+        "size-sum"])
+def test_cell_build_invariants_raise(monkeypatch, name, fake, match):
+    clear_cell_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(conjclasses, name, fake)
+            with pytest.raises(RuntimeError, match=match):
+                rational_cells(2)
+    finally:
+        clear_cell_caches()

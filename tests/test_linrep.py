@@ -97,7 +97,7 @@ def test_tau_contravariant():
                                        tau_matrix(g2, s, k).matrix)
 
 
-def test_act_on_coefficients_matches_substitution():
+def test_tau_matrix_matches_substitution():
     rng = random.Random(61)
     for n, s, k in WINDOWS:
         for _ in range(8):
@@ -199,7 +199,7 @@ def check_fixdim_invariants(g):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_carried_echelon_invariants_all_cells(n):
+def test_fixdim_invariants_all_cells(n):
     for cell in affine_cells(n):
         check_fixdim_invariants(cell.rep)
 
@@ -211,7 +211,7 @@ def test_fixdim_invariants_spaced_cells(n):
         check_fixdim_invariants(cells[i * len(cells) // 20].rep)
 
 
-def test_shared_echelon_matches_tau_matrix_rank_all_cells():
+def test_fixed_space_matches_tau_matrix_rank_all_cells():
     # independent oracle: the canonical-order matrix built by substitute,
     # ranked with plain highest-bit pivots
     for n in range(1, 6):
