@@ -22,6 +22,11 @@ cell's representative in every window. The cell sizes must sum to
 
 The cells of exhaustive_cells, affine_cells and the cell file format are
 conjugacy classes: each cell's members are mutually conjugate.
+
+Each call builds its list afresh (the cold n = 10 build takes well under a
+tenth of a second); a caller that counts many times over one n passes the
+list it built as cells=. Only the exhaustive list is cached, because one
+n = 4 walk takes over a second and small-n checks count through it often.
 """
 
 from __future__ import annotations
@@ -187,8 +192,11 @@ def _centralizer_order(assignment) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _gl_classes_cached(n: int) -> tuple[GlClassDescriptor, ...]:
+def gl_classes(n: int) -> list[GlClassDescriptor]:
+    """All conjugacy classes of GL(n,2): every assignment of partitions to
+    irreducible polynomials with total degree-weighted size n."""
+    if not 1 <= n <= 10:
+        raise ValueError(f"n={n} out of supported range 1..10")
     polys = irreducible_polys(n)
     gl_order = group_orders(n)[0]
 
@@ -221,15 +229,7 @@ def _gl_classes_cached(n: int) -> tuple[GlClassDescriptor, ...]:
                                      size, cent))
     if sum(c.size for c in out) != gl_order:
         raise ArithmeticError("GL class sizes do not sum to the group order")
-    return tuple(out)
-
-
-def gl_classes(n: int) -> list[GlClassDescriptor]:
-    """All conjugacy classes of GL(n,2): every assignment of partitions to
-    irreducible polynomials with total degree-weighted size n."""
-    if not 1 <= n <= 10:
-        raise ValueError(f"n={n} out of supported range 1..10")
-    return list(_gl_classes_cached(n))
+    return out
 
 
 # --- rational groups: the GL classes of g^j, gcd(j, ord g) = 1, merged -----
@@ -291,8 +291,7 @@ def _min_polys(m: int) -> dict[int, int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _rational_groups(n: int) -> tuple[tuple[GlClassDescriptor, ...], ...]:
+def _rational_groups(n: int) -> list[tuple[GlClassDescriptor, ...]]:
     """The GL(n,2) classes of A^j for every j prime to ord(A), one tuple
     per cyclic subgroup, each led by its first class, in that order."""
     for r in _POWERS:
@@ -327,7 +326,7 @@ def _rational_groups(n: int) -> tuple[tuple[GlClassDescriptor, ...], ...]:
                     placed.add(k)
                     group.append(k)
         groups.append(tuple(classes[j] for j in group))
-    return tuple(groups)
+    return groups
 
 
 # --- the fiber over one group of GL classes --------------------------------
@@ -355,7 +354,7 @@ def _x1_partition(cls: GlClassDescriptor) -> tuple[int, ...]:
     return lam if poly == 0b11 else ()
 
 
-def _fiber_cells(n: int, groups) -> tuple[ConjCell, ...]:
+def _fiber_cells(n: int, groups) -> list[ConjCell]:
     """The cells over each group of GL classes: the zero coset, then one
     cell per distinct x+1 block size t, largest first. The reps are those
     of the group's first class, and the sizes count every class."""
@@ -380,20 +379,13 @@ def _fiber_cells(n: int, groups) -> tuple[ConjCell, ...]:
     total = sum(c.size for c in cells)
     if total != group_orders(n)[1]:
         raise RuntimeError(f"cell sizes sum to {total}, not |AGL({n},2)|")
-    return tuple(cells)
-
-
-@functools.lru_cache(maxsize=None)
-def _affine_cells_cached(n: int) -> tuple[ConjCell, ...]:
-    return _fiber_cells(n, [(cls,) for cls in gl_classes(n)])
+    return cells
 
 
 def affine_cells(n: int) -> list[ConjCell]:
     """The conjugacy classes of AGL(n,2), one cell each, from the GL
     canonical forms and the closed-form orbits on each fiber."""
-    if not 1 <= n <= 10:
-        raise ValueError(f"n={n} out of supported range 1..10")
-    return list(_affine_cells_cached(n))
+    return _fiber_cells(n, [(cls,) for cls in gl_classes(n)])
 
 
 def rational_cells(n: int) -> list[ConjCell]:
@@ -402,9 +394,7 @@ def rational_cells(n: int) -> list[ConjCell]:
     Every member of a cell generates a cyclic subgroup conjugate to that of
     the representative, so all fix the same number of vectors in every
     window; the counting engine sums over these cells."""
-    if not 1 <= n <= 10:
-        raise ValueError(f"n={n} out of supported range 1..10")
-    return list(_fiber_cells(n, _rational_groups(n)))
+    return _fiber_cells(n, _rational_groups(n))
 
 
 # --- exhaustive small-n provider --------------------------------------------
@@ -476,6 +466,7 @@ def _point_table_classes(n: int) -> dict[bytes, set[bytes]]:
     return classes
 
 
+# the one cached cell list: each n = 4 walk takes over a second
 @functools.lru_cache(maxsize=None)
 def _exhaustive_cells_cached(n: int) -> tuple[ConjCell, ...]:
     order = group_orders(n)[1]

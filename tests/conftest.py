@@ -3,7 +3,6 @@ import sys
 
 import pytest
 
-from rmclass import conjclasses
 from rmclass.burnside import InexactDivisionError, count
 from rmclass.conjclasses import ConjCell
 from rmclass.gf2 import BitMatrix, BitVector, rank
@@ -83,14 +82,6 @@ def find_inexact_swap(n: int, cells: list[ConjCell]):
                 except InexactDivisionError:
                     return tampered, s, k
     raise AssertionError("no tampering produced an inexact division")
-
-
-def clear_cell_caches():
-    """Drop every cached cell build, so that a test which patches the build
-    neither reads a good result nor leaves a broken one behind."""
-    conjclasses._gl_classes_cached.cache_clear()
-    conjclasses._affine_cells_cached.cache_clear()
-    conjclasses._rational_groups.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

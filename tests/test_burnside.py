@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import clear_cell_caches, find_inexact_swap, make_example
+from conftest import find_inexact_swap, make_example
 from helpers_oracle import FROZEN_COUNTS, brute_class_count, valid_pairs
 from rmclass import burnside, conjclasses
 from rmclass.burnside import (
@@ -117,19 +117,23 @@ def test_rational_counts_equal_class_counts(n):
 
 def test_canonical_path_builds_no_conjugacy_classes(monkeypatch):
     # the rational cells come from the merged GL classes alone; the
-    # conjugacy classes (1,967 at n = 10) are built only for affine_cells
-    def refuse(n):
-        raise AssertionError("the canonical path built the conjugacy classes")
-
+    # conjugacy classes (1,967 at n = 10) are built only for affine_cells,
+    # by the same fiber builder over singleton groups
     n, s, k = 5, 3, 1
-    clear_cell_caches()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(conjclasses, "_affine_cells_cached", refuse)
-            cells = rational_cells(n)
-            got = count(n, s, k)
-    finally:
-        clear_cell_caches()
+    merged = [[c.assignment for c in g]
+              for g in conjclasses._rational_groups(n)]
+    assert (len(merged), len(conjclasses.gl_classes(n))) == (18, 27)
+    seen = []
+
+    def spy(n, groups, real=conjclasses._fiber_cells):
+        seen.append([[c.assignment for c in g] for g in groups])
+        return real(n, groups)
+
+    with monkeypatch.context() as m:
+        m.setattr(conjclasses, "_fiber_cells", spy)
+        cells = rational_cells(n)
+        got = count(n, s, k)
+    assert seen == [merged, merged]
     assert sum(c.size for c in cells) == group_orders(n)[1]
     assert got.cells == len(cells)
     unmerged = count_pairs(n, [(k, s)], cells=affine_cells(n))[k, s]
@@ -157,6 +161,20 @@ def test_pair_partial_sums_any_pair_order():
             [fixdim] = fixed_space_log2(images, n, [(k, s)])
             want[i] += cell.size << fixdim
     assert burnside._pair_partial_sums(n, tuple(pairs), cells) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_partial_sums_any_slicing_or_order(n):
+    # count_pairs deals the cells round-robin, so a worker's slice splits
+    # the cells of one merged group; the sums may depend on neither the
+    # slicing nor the order of the cells
+    cells = rational_cells(n)
+    pairs = tuple(all_pairs(n))
+    want = burnside._pair_partial_sums(n, pairs, cells)
+    partials = [burnside._pair_partial_sums(n, pairs, cells[w::3])
+                for w in range(3) if cells[w::3]]
+    assert [sum(p) for p in zip(*partials)] == want
+    assert burnside._pair_partial_sums(n, pairs, cells[::-1]) == want
 
 
 class FakePool:

@@ -4,12 +4,7 @@ import sys
 
 import pytest
 
-from conftest import (
-    TAU_ROWS,
-    clear_cell_caches,
-    find_inexact_swap,
-    make_example,
-)
+from conftest import TAU_ROWS, find_inexact_swap, make_example
 from rmclass import burnside, cli, conjclasses
 from rmclass.conjclasses import (
     affine_cells,
@@ -113,7 +108,7 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
         assert err.splitlines()[-1].startswith("internal error: ")
 
     # patched for this case only, so the cases below cannot exit 3 through
-    # the inexact division; it leaves the n = 3 cells cached
+    # the inexact division
     with monkeypatch.context() as m:
         m.setattr(burnside, "_pair_partial_sums",
                   lambda n, pairs, cells: [0] * len(pairs))
@@ -121,20 +116,15 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
     internal_error("count_pairs")
 
     # a broken GL-class invariant (ArithmeticError) and a broken canonical
-    # size sum (RuntimeError); the cell caches must not keep either result
+    # size sum (RuntimeError); every count builds its cells afresh
     orders = conjclasses.group_orders
     for name, fake, raiser in (
-            ("_centralizer_order", lambda assignment: 3, "_gl_classes_cached"),
+            ("_centralizer_order", lambda assignment: 3, "gl_classes"),
             ("group_orders", lambda n: (orders(n)[0], orders(n)[1] + 1),
              "_fiber_cells")):
-        clear_cell_caches()
-        try:
-            with monkeypatch.context() as m:
-                m.setattr(conjclasses, name, fake)
-                assert run_cli("count", "--n", "3", "--s", "3",
-                               "--k", "-1") == 3
-        finally:
-            clear_cell_caches()
+        with monkeypatch.context() as m:
+            m.setattr(conjclasses, name, fake)
+            assert run_cli("count", "--n", "3", "--s", "3", "--k", "-1") == 3
         internal_error(raiser)
 
     def broken(*args, **kwargs):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import all_elements, all_matrices, clear_cell_caches
+from conftest import all_elements, all_matrices
 from helpers_orbits import coset_reducer, sampled_fiber_orbits
 from rmclass import conjclasses
 from rmclass.conjclasses import (
@@ -182,17 +182,26 @@ def test_affine_cells_refine_true_classes(n):
 
 
 def test_affine_cells_deterministic():
-    import rmclass.conjclasses as cc
-    build = cc._affine_cells_cached.__wrapped__  # bypass the cache
-    assert build(3) == build(3)
+    assert affine_cells(3) == affine_cells(3)
 
 
 def test_affine_cells_rebuild_is_identical_cover():
-    build = conjclasses._affine_cells_cached.__wrapped__
     for n in (4, 5, 6):
-        cells = build(n)
-        assert cells == build(n) == tuple(affine_cells(n))
+        cells = affine_cells(n)
+        assert cells == affine_cells(n)
         assert sum(c.size for c in cells) == group_orders(n)[1]
+
+
+def test_cell_builds_keep_no_hidden_state(monkeypatch):
+    # a build after a broken invariant must see the break: no earlier
+    # build of the same n may stand in for it
+    rational_cells(3)
+    monkeypatch.setattr(conjclasses, "_centralizer_order",
+                        lambda assignment: 3)
+    with pytest.raises(ArithmeticError):
+        gl_classes(3)
+    with pytest.raises(ArithmeticError):
+        rational_cells(3)
 
 
 # --- the closed-form fiber orbits against independent constructions --------
@@ -496,11 +505,6 @@ def gl2_groups(*indices):
 ], ids=["power-not-prime", "image-no-class", "mixed-x1-partitions",
         "size-sum"])
 def test_cell_build_invariants_raise(monkeypatch, name, fake, match):
-    clear_cell_caches()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(conjclasses, name, fake)
-            with pytest.raises(RuntimeError, match=match):
-                rational_cells(2)
-    finally:
-        clear_cell_caches()
+    monkeypatch.setattr(conjclasses, name, fake)
+    with pytest.raises(RuntimeError, match=match):
+        rational_cells(2)
