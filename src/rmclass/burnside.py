@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 from .anf import check_params
 from .conjclasses import (
@@ -25,7 +26,7 @@ from .conjclasses import (
     rational_cells,
 )
 from .group import AffineElement, group_orders
-from .linrep import fixed_space_log2, monomial_images
+from .linrep import fixed_space_log2, monomial_images, translated_images
 
 PROVIDERS = ("exhaustive", "canonical", "import")
 
@@ -75,12 +76,22 @@ def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
                        cells: list[ConjCell]) -> list[int]:
     """Size-weighted fixed-point sums of a slice of cells, one per pair.
     Each cell makes one fixed_space_log2 call, whose single elimination
-    serves every window (k, s]."""
+    serves every window (k, s]. A cell (A, e_start) whose A equals that of
+    the last b = 0 cell before it derives its images from that cell's
+    (translated_images) instead of building them."""
     max_s = max(s for _, s in pairs)
     min_k = min(k for k, _ in pairs)
     sums = [0] * len(pairs)
+    base_a = base = None
     for cell in cells:
-        images = monomial_images(cell.rep, max_s, min_k)
+        g = cell.rep
+        b = g.b.bits
+        if b and not b & (b - 1) and g.a == base_a:
+            images = translated_images(base, n, b, max_s, min_k)
+        else:
+            images = monomial_images(g, max_s, min_k)
+            if not b:
+                base_a, base = g.a, images
         for i, fixdim in enumerate(fixed_space_log2(images, n, pairs)):
             sums[i] += cell.size << fixdim
     return sums
@@ -92,6 +103,12 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     """Counts for several (k, s) pairs in one sweep, sharing the cell list
     and the per-cell monomial images. Returns {(k, s): CountResult}; each
     result carries the elapsed time of the whole batch.
+
+    Images are built once per run of cells with equal linear parts: a
+    cell (A, e_start) derives them from the last (A, 0) cell before it.
+    With threads > 1 the runs are dealt whole to at most
+    min(threads, runs, CPUs) worker processes, each run to the worker with
+    the fewest cells so far.
 
     Given cells must partition AGL(n,2), and every member of a cell must fix
     the same number of vectors as its representative in every window, as
@@ -118,12 +135,17 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     if total_size != order:
         raise CellDecompositionError(
             f"cell sizes sum to {total_size}, not |AGL({n},2)| = {order}")
-    # never more processes than cells or CPUs
-    workers = min(threads, len(cells), os.cpu_count() or 1)
+    # runs: the maximal blocks of consecutive cells with equal linear parts
+    runs = [list(run) for _, run in groupby(cells, key=lambda c: c.rep.a)]
+    # never more processes than runs or CPUs
+    workers = min(threads, len(runs), os.cpu_count() or 1)
     if workers > 1:
-        # round-robin slices rather than contiguous ones: neighboring cells
-        # have correlated cost, this balances them
-        slices = [cells[w::workers] for w in range(workers)]
+        # whole runs, so that every fiber cell finds its zero coset's
+        # images in its own slice; each run goes to the slice with the
+        # fewest cells so far
+        slices = [[] for _ in range(workers)]
+        for run in runs:
+            min(slices, key=len).extend(run)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_pair_partial_sums,
                                      [n] * workers, [pairs] * workers, slices))

@@ -74,6 +74,26 @@ def monomial_images(g: AffineElement, max_degree: int | None = None,
     return images
 
 
+def translated_images(base: list[int], n: int, b: int,
+                      max_degree: int | None = None, k: int = -1) -> list[int]:
+    """The images of (A, b) for a single-bit translation b = 1 << start,
+    from the images base of (A, 0) built with the same max_degree and k.
+    Only the affine form of variable start gains the constant 1, so for u
+    containing start, image_b(u) = image_0(u) xor image_0(u - start); every
+    other entry is unchanged. The entries that windows within
+    (k, max_degree] read are exact above degree k: a base entry u - start
+    that the pruning left at 0 would have only terms of degree <= k (see
+    _image_masks)."""
+    if not b or b & (b - 1):
+        raise ValueError(f"translation {b:#x} is not a single bit")
+    if max_degree is None:
+        max_degree = n
+    images = base.copy()
+    for u in _image_masks_with(n, max_degree, k, b):
+        images[u] ^= base[u ^ b]
+    return images
+
+
 @functools.lru_cache(maxsize=None)
 def _image_masks(n: int, top: int, k: int) -> tuple[int, ...]:
     """The masks u != 0 whose images a window (k, top] needs, increasing.
@@ -83,6 +103,12 @@ def _image_masks(n: int, top: int, k: int) -> tuple[int, ...]:
     return tuple(u for u in range(1, 1 << n)
                  if u.bit_count() <= top
                  and u.bit_count() + (u & -u).bit_length() - 1 > k)
+
+
+@functools.lru_cache(maxsize=None)
+def _image_masks_with(n: int, top: int, k: int, b: int) -> tuple[int, ...]:
+    """The masks of _image_masks(n, top, k) that contain the bit b."""
+    return tuple(u for u in _image_masks(n, top, k) if u & b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,6 +123,17 @@ def _degree_bands(n: int) -> tuple[int, ...]:
     """entry j = the bit mask of the monomials of degree n - j: the degree
     masks from the top degree down, as rank_of_rows takes its bands."""
     return tuple(_window_indicator(n, i, i - 1) for i in range(n, -1, -1))
+
+
+@functools.lru_cache(maxsize=256)
+def _window_plan(n: int, pairs: tuple[tuple[int, int], ...]):
+    """The checked windows of one fixed_space_log2 call: the smallest k,
+    the largest s, and (s, k, dimension) per pair in the order given. A
+    bad pair raises, and lru_cache keeps no result for it."""
+    for k, s in pairs:
+        check_params(n, s, k)
+    return (min(k for k, _ in pairs), max(s for _, s in pairs),
+            tuple((s, k, space_dimension(n, s, k)) for k, s in pairs))
 
 
 def fixed_space_log2(images: list[int], n: int,
@@ -116,13 +153,11 @@ def fixed_space_log2(images: list[int], n: int,
     pivots of degree in (k', s], for every k' in the pairs. Rows are kept
     in monomial-mask positions, not the canonical order: the same
     permutation of rows and columns preserves rank."""
-    for k, s in pairs:
-        check_params(n, s, k)
-    k0 = min(k for k, _ in pairs)
-    top = max(s for _, s in pairs)
+    k0, top, windows = _window_plan(n, tuple(pairs))
     pivots: dict[int, int] = {}  # pivot bit -> row
     per_degree = [0] * (n + 1)
-    at = {}  # s -> pivots of each degree once the rows of degree s were in
+    # above[s][j] = pivots of degree >= j once the rows of degree s were in
+    above = {}
     bands = _degree_bands(n)
     for i in range(k0 + 1, top + 1):
         # terms of degree <= k0 lie in no band: rank_of_rows ignores them
@@ -132,8 +167,8 @@ def fixed_space_log2(images: list[int], n: int,
         # new pivots are the last ones inserted into the dict
         for bit in itertools.islice(reversed(pivots), grown):
             per_degree[bit.bit_count()] += 1
-        at[i] = tuple(per_degree)
-    return [space_dimension(n, s, k) - sum(at[s][k + 1:]) for k, s in pairs]
+        above[i] = list(itertools.accumulate(reversed(per_degree)))[::-1]
+    return [d - above[s][k + 1] for s, k, d in windows]
 
 
 def tau_matrix(g: AffineElement, s: int, k: int) -> TauMatrix:

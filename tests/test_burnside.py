@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -20,10 +21,12 @@ from rmclass.conjclasses import (
     ConjCell,
     affine_cells,
     export_cells,
+    gl_classes,
+    import_cells,
     rational_cells,
 )
 from rmclass.gf2 import BitVector, mat_vec
-from rmclass.group import group_orders, identity
+from rmclass.group import AffineElement, group_orders, identity
 from rmclass.anf import space_dimension
 from rmclass.linrep import (
     fixed_space_log2,
@@ -163,18 +166,71 @@ def test_pair_partial_sums_any_pair_order():
     assert burnside._pair_partial_sums(n, tuple(pairs), cells) == want
 
 
+def fresh_partial_sums(n, pairs, cells):
+    """_pair_partial_sums with every cell's images built afresh."""
+    want = [0] * len(pairs)
+    for cell in cells:
+        fixdims = fixed_space_log2(monomial_images(cell.rep), n, pairs)
+        for i, fixdim in enumerate(fixdims):
+            want[i] += cell.size << fixdim
+    return want
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pair_partial_sums_any_slicing_or_order(n):
-    # count_pairs deals the cells round-robin, so a worker's slice splits
-    # the cells of one merged group; the sums may depend on neither the
-    # slicing nor the order of the cells
-    cells = rational_cells(n)
+    # count_pairs deals whole runs of equal linear parts, but the sums may
+    # depend on neither the slicing nor the order of the cells: round-robin
+    # slices split the runs, and the reversed list puts each fiber cell
+    # before its zero coset
     pairs = tuple(all_pairs(n))
-    want = burnside._pair_partial_sums(n, pairs, cells)
-    partials = [burnside._pair_partial_sums(n, pairs, cells[w::3])
-                for w in range(3) if cells[w::3]]
-    assert [sum(p) for p in zip(*partials)] == want
-    assert burnside._pair_partial_sums(n, pairs, cells[::-1]) == want
+    for cells in (rational_cells(n), affine_cells(n)):
+        want = burnside._pair_partial_sums(n, pairs, cells)
+        partials = [burnside._pair_partial_sums(n, pairs, cells[w::3])
+                    for w in range(3) if cells[w::3]]
+        assert [sum(p) for p in zip(*partials)] == want
+        assert burnside._pair_partial_sums(n, pairs, cells[::-1]) == want
+
+
+def test_pair_partial_sums_derive_only_from_the_same_linear_part():
+    # a translation of two bits, an equal A after another zero coset, and
+    # a unit translation whose A differs from the last zero coset's: only
+    # the cells (A, e_i) right after (A, 0) may take its images
+    n = 4
+    pairs = tuple(all_pairs(n))
+    a1, a2 = gl_classes(n)[5].rep, gl_classes(n)[9].rep
+    assert a1 != a2
+
+    def cell(a, b):
+        return ConjCell(AffineElement(n, a, BitVector(n, b)), 1)
+
+    cells = [cell(a1, 0), cell(a1, 0b0001), cell(a1, 0b0110),
+             cell(a1, 0b1000), cell(a2, 0b0100), cell(a2, 0),
+             cell(a1, 0b0010), cell(a2, 0b0010), cell(a2, 0b0011)]
+    assert burnside._pair_partial_sums(n, pairs, cells) == \
+        fresh_partial_sums(n, pairs, cells)
+
+
+def test_pair_partial_sums_reuse_imported_linear_parts(monkeypatch, tmp_path):
+    # read back from a file, the cells of one linear part hold equal but
+    # distinct BitMatrix objects; they still share one image build, with
+    # the sums of a build per cell
+    n = 5
+    path = tmp_path / "cells.txt"
+    export_cells(affine_cells(n), path)
+    cells = import_cells(path)
+    pairs = tuple(all_pairs(n))
+    assert any(x.rep.a == y.rep.a and x.rep.a is not y.rep.a
+               for x, y in zip(cells, cells[1:]))
+    built = []
+
+    def spy(g, *args, real=burnside.monomial_images):
+        built.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(burnside, "monomial_images", spy)
+    got = burnside._pair_partial_sums(n, pairs, cells)
+    assert built == [c.rep for c in cells if not c.rep.b.bits]
+    assert got == fresh_partial_sums(n, pairs, cells)
 
 
 class FakePool:
@@ -207,10 +263,53 @@ def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
         assert {p: r.count for p, r in got.items()} == serial
         # one worker runs in the caller's process, without a pool
         assert FakePool.requested == ([workers] if workers > 1 else [])
-    # never more workers than cells
+    # never more workers than runs of equal linear parts: n = 1 has one
     FakePool.requested = []
     count(1, 1, -1, threads=8)
-    assert FakePool.requested == [len(affine_cells(1))]
+    assert FakePool.requested == []
+
+
+def runs(cells):
+    """The maximal blocks of consecutive cells with equal linear parts."""
+    return [tuple(run) for _, run in
+            itertools.groupby(cells, key=lambda c: c.rep.a)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
+    # each run of cells with one linear part goes whole to one slice, and
+    # only its zero coset (A, 0) builds images; the fiber cells derive
+    # theirs
+    monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    built, slices = [], []
+
+    def build_spy(g, *args, real=burnside.monomial_images):
+        built.append(g)
+        return real(g, *args)
+
+    def slice_spy(n, pairs, cells, real=burnside._pair_partial_sums):
+        slices.append(cells)
+        return real(n, pairs, cells)
+
+    monkeypatch.setattr(burnside, "monomial_images", build_spy)
+    monkeypatch.setattr(burnside, "_pair_partial_sums", slice_spy)
+    for n in range(3, 9):
+        built.clear()
+        slices.clear()
+        FakePool.requested = []
+        count_pairs(n, all_pairs(n), threads=threads)
+        assert FakePool.requested == ([2] if threads == 2 else [])
+        assert len(slices) == threads
+        cells = rational_cells(n)
+        zero_cosets = [c.rep for c in cells if not c.rep.b.bits]
+        assert sorted(map(str, built)) == sorted(map(str, zero_cosets))
+        # the runs of the slices are exactly the runs of the whole list
+        dealt = [run for part in slices for run in runs(part)]
+        assert sorted(dealt, key=str) == sorted(runs(cells), key=str)
+        if threads == 2:
+            sizes = sorted(map(len, slices))
+            assert sizes[1] - sizes[0] <= max(map(len, runs(cells)))
 
 
 def test_count_pairs_rejects_threads_below_one():

@@ -7,6 +7,7 @@ from rmclass.anf import (
     Anf,
     CoefficientVector,
     Monomial,
+    _window_indicator,
     anf_of_cv,
     cv,
     monomial_order,
@@ -19,6 +20,7 @@ from rmclass.burnside import all_pairs
 from rmclass.gf2 import BitMatrix, BitVector, identity, mat_mul, mat_vec, rank
 from rmclass.conjclasses import affine_cells
 from rmclass.group import (
+    AffineElement,
     compose,
     identity as group_identity,
     random_element,
@@ -29,6 +31,7 @@ from rmclass.linrep import (
     fixed_space_log2,
     monomial_images,
     tau_matrix,
+    translated_images,
 )
 
 WINDOWS = [(3, 3, -1), (3, 3, 1), (3, 2, 0), (4, 2, 1), (4, 4, -1), (4, 3, 2)]
@@ -174,6 +177,10 @@ def carried_fixdims(g):
     images = monomial_images(g)
     pairs = all_pairs(n)
     out = dict(zip(pairs, fixed_space_log2(images, n, pairs)))
+    # the same windows as a tuple, in another order, answer in that order
+    backwards = tuple(reversed(pairs))
+    assert fixed_space_log2(images, n, backwards) == \
+        [out[p] for p in backwards], g
     for k, s in pairs:
         assert fixed_space_log2(images, n, [(k, s)]) == [out[(k, s)]], \
             (g, k, s)
@@ -261,7 +268,47 @@ def test_fixed_space_mixed_pair_order_and_bad_pairs_raise():
         t = tau_matrix(g, s, k).matrix
         want.append(space_dimension(3, s, k) - rank(t ^ identity(t.rows)))
     assert fixed_space_log2(images, 3, pairs) == want
-    # s out of range, k not below s, k below -1
+    assert fixed_space_log2(images, 3, tuple(pairs)) == want
+    # s out of range, k not below s, k below -1: each raises every time,
+    # also after a valid call for the same n
     for bad in [(0, 4), (2, 2), (2, 1), (-2, 1)]:
-        with pytest.raises(ValueError):
-            fixed_space_log2(images, 3, [(0, 2), bad])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fixed_space_log2(images, 3, [(0, 2), bad])
+            assert fixed_space_log2(images, 3, [(0, 2)]) == want[:1]
+
+
+# --- images of a fiber cell from those of its zero coset -----------------
+
+def read_part(images, n, top, k):
+    """What fixed_space_log2 reads of images for windows within (k, top]:
+    the entries of degree in (k, top], without their terms of degree <= k."""
+    above_k = _window_indicator(n, n, k)
+    return [images[u] & above_k
+            for u in range(1 << n) if k < u.bit_count() <= top]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_translated_images_match_fresh_build(n):
+    # every fiber cell (A, e_start) against its own build: on every entry
+    # over the full window, and on what each pruned window reads for n <= 6
+    fibers = [c.rep for c in affine_cells(n) if c.rep.b.bits]
+    assert fibers
+    for g in fibers:
+        zero = AffineElement(n, g.a, BitVector(n, 0))
+        b = g.b.bits
+        assert translated_images(monomial_images(zero), n, b) == \
+            monomial_images(g), g
+        if n > 6:
+            continue
+        for k, s in all_pairs(n):
+            got = translated_images(monomial_images(zero, s, k), n, b, s, k)
+            assert read_part(got, n, s, k) == \
+                read_part(monomial_images(g, s, k), n, s, k), (g, k, s)
+
+
+def test_translated_images_need_a_single_bit():
+    images = monomial_images(group_identity(3))
+    for b in (0, 0b011, 0b111):
+        with pytest.raises(ValueError, match="single bit"):
+            translated_images(images, 3, b)
