@@ -51,21 +51,16 @@ def fix_count(g: AffineElement, s: int, k: int) -> int:
     return 1 << fixed_space_log2(monomial_images(g, s, k), g.n, [(k, s)])[0]
 
 
-def resolve_cells(n: int | None, provider: str = "canonical", *,
+def resolve_cells(n: int, provider: str = "canonical", *,
                   file=None) -> list[ConjCell]:
-    """Map a provider tag to a validated cell list. n may be None for the
-    import provider only: the file's own n is then accepted."""
-    if n is None and provider != "import":
-        raise ValueError("only the import provider accepts n=None")
+    """Map a provider tag to a validated cell list for n."""
     if provider == "exhaustive":
         return exhaustive_cells(n)
     if provider == "canonical":
         return rational_cells(n)
     if provider == "import":
-        if file is None:
-            raise ValueError("the import provider requires a cell file")
         cells = import_cells(file)
-        if n is not None and cells[0].rep.n != n:
+        if cells[0].rep.n != n:
             raise ValueError(
                 f"cell file is for n={cells[0].rep.n}, requested n={n}")
         return cells
@@ -102,7 +97,8 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
                 cells=None) -> dict[tuple[int, int], CountResult]:
     """Counts for several (k, s) pairs in one sweep, sharing the cell list
     and the per-cell monomial images. Returns {(k, s): CountResult}; each
-    result carries the elapsed time of the whole batch.
+    result carries the elapsed time of the whole sweep, which starts once
+    the cells are built and checked.
 
     Images are built once per run of cells with equal linear parts: a
     cell (A, e_start) derives them from the last (A, 0) cell before it.
@@ -123,7 +119,6 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
         check_params(n, s, k)
     if len(set(pairs)) != len(pairs):
         raise ValueError("duplicate (k, s) pairs")
-    start = time.perf_counter()
     if cells is None:
         cells = resolve_cells(n, provider, file=file)
     for c in cells:
@@ -135,6 +130,7 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     if total_size != order:
         raise CellDecompositionError(
             f"cell sizes sum to {total_size}, not |AGL({n},2)| = {order}")
+    start = time.perf_counter()
     # runs: the maximal blocks of consecutive cells with equal linear parts
     runs = [list(run) for _, run in groupby(cells, key=lambda c: c.rep.a)]
     # never more processes than runs or CPUs

@@ -16,8 +16,13 @@ from importlib import resources
 from pathlib import Path
 
 from .anf import check_params
-from .burnside import PROVIDERS, count_pairs, resolve_cells
-from .conjclasses import affine_cells, exhaustive_cells, export_cells
+from .burnside import PROVIDERS, count, count_pairs
+from .conjclasses import (
+    affine_cells,
+    exhaustive_cells,
+    export_cells,
+    import_cells,
+)
 from .group import element_from_text
 from .linrep import tau_matrix
 
@@ -88,10 +93,8 @@ def load_oracle(path=None) -> OracleTable:
 
 
 def cmd_count(args) -> int:
-    check_params(args.n, args.s, args.k)
-    cells = resolve_cells(args.n, args.provider, file=args.file)
-    res = count_pairs(args.n, [(args.k, args.s)], threads=args.threads,
-                      cells=cells)[(args.k, args.s)]
+    res = count(args.n, args.s, args.k, args.provider, threads=args.threads,
+                file=args.file)
     print(f"n={res.n} s={res.s} k={res.k} provider={args.provider} "
           f"cells={res.cells} elapsed={res.elapsed:.3f} count={res.count}")
     return EXIT_OK
@@ -102,34 +105,31 @@ def cmd_verify(args) -> int:
     wanted = [e for e in oracle.entries
               if e.n <= args.max_n and (args.table is None
                                         or e.table == args.table)]
-    cells_by_n = {}
+    cells = None
     if args.provider == "import":
         # a cell file holds one n: read it once and check only that n's rows
-        cells = resolve_cells(None, "import", file=args.file)
-        file_n = cells[0].rep.n
-        cells_by_n[file_n] = cells
-        wanted = [e for e in wanted if e.n == file_n]
+        cells = import_cells(args.file)
+        wanted = [e for e in wanted if e.n == cells[0].rep.n]
     if not wanted:
         raise ValueError(
             f"no oracle entries with n <= {args.max_n}"
             + (f" in table {args.table}" if args.table else "")
-            + (f" for the cell file's n={file_n}" if cells_by_n else ""))
-    # every n's cells before the first check line, so a provider that
-    # fails at a later n leaves no partial report
-    for n in sorted({e.n for e in wanted} - cells_by_n.keys()):
-        cells_by_n[n] = resolve_cells(n, args.provider, file=args.file)
+            + (f" for the cell file's n={cells[0].rep.n}" if cells else ""))
+    # every n is counted before the first check line, so a provider or a
+    # count that fails at a later n leaves no partial report
+    results = {}
+    for n in sorted({e.n for e in wanted}):
+        pairs = sorted({(e.k, e.s) for e in wanted if e.n == n})
+        results[n] = count_pairs(n, pairs, args.provider,
+                                 threads=args.threads, cells=cells)
     failures = 0
-    for n, cells in cells_by_n.items():
-        group = [e for e in wanted if e.n == n]
-        pairs = sorted({(e.k, e.s) for e in group})
-        results = count_pairs(n, pairs, threads=args.threads, cells=cells)
-        for e in group:
-            got = results[(e.k, e.s)].count
-            status = "PASS" if got == e.value else "FAIL"
-            if status == "FAIL":
-                failures += 1
-            print(f"check table={e.table} n={e.n} k={e.k} s={e.s} "
-                  f"expected={e.value} got={got} status={status}")
+    for e in sorted(wanted, key=lambda e: e.n):
+        got = results[e.n][(e.k, e.s)].count
+        status = "PASS" if got == e.value else "FAIL"
+        if status == "FAIL":
+            failures += 1
+        print(f"check table={e.table} n={e.n} k={e.k} s={e.s} "
+              f"expected={e.value} got={got} status={status}")
     print(f"summary total={len(wanted)} pass={len(wanted) - failures} "
           f"fail={failures}")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH

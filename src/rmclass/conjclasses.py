@@ -25,8 +25,9 @@ conjugacy classes: each cell's members are mutually conjugate.
 
 Each call builds its list afresh (the cold n = 10 build takes well under a
 tenth of a second); a caller that counts many times over one n passes the
-list it built as cells=. Only the exhaustive list is cached, because one
-n = 4 walk takes over a second and small-n checks count through it often.
+list it built as cells=. Only the exhaustive group walk is cached, because
+one n = 4 walk takes over a second and small-n checks count through it
+often; its representatives are decoded on every call.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from .gf2 import BitMatrix, BitVector, SingularMatrixError
 from .group import (
@@ -113,18 +115,23 @@ def _poly_pow(p: int, e: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _irreducibles(deg: int) -> tuple[int, ...]:
+    """The monic irreducibles of degree deg except p(x) = x, sorted by
+    coefficient bits. Found by trial division."""
+    out = []
+    for p in range(1 << deg, 1 << (deg + 1)):
+        if not p & 1:
+            continue  # divisible by x
+        if all(_poly_rem(p, q) != 0 for q in range(2, 1 << (deg // 2 + 1))):
+            out.append(p)
+    return tuple(out)
+
+
 def irreducible_polys(max_degree: int) -> tuple[int, ...]:
     """All monic irreducibles of degree 1..max_degree except p(x) = x,
-    sorted by (degree, coefficient bits). Found by trial division."""
-    out = []
-    for deg in range(1, max_degree + 1):
-        for p in range(1 << deg, 1 << (deg + 1)):
-            if not p & 1:
-                continue  # divisible by x
-            if all(_poly_rem(p, q) != 0
-                   for q in range(2, 1 << (deg // 2 + 1))):
-                out.append(p)
-    return tuple(out)
+    sorted by (degree, coefficient bits)."""
+    return tuple(p for deg in range(1, max_degree + 1)
+                 for p in _irreducibles(deg))
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,9 +266,7 @@ def _min_polys(m: int) -> dict[int, int]:
     conjugates gamma^(e 2^i) are m distinct roots, with gamma = x in
     GF(2)[x]/P for the first primitive P of degree m."""
     order = (1 << m) - 1
-    for prim in irreducible_polys(m):
-        if prim.bit_length() != m + 1:
-            continue
+    for prim in _irreducibles(m):
         power = [1]  # power[e] = gamma^e, packed like the polynomials
         for _ in range(order - 1):
             x = power[-1] << 1
@@ -412,10 +417,13 @@ def _agl_generators(n: int) -> list[AffineElement]:
             for rows, b in gens]
 
 
-def _point_table_classes(n: int) -> dict[bytes, set[bytes]]:
+# the one cached build: each n = 4 walk takes over a second
+@functools.lru_cache(maxsize=None)
+def _point_table_classes(n: int) -> MappingProxyType[bytes, frozenset[bytes]]:
     """The conjugacy classes of AGL(n,2) by full enumeration, each element
     as its table of point images (to_permutation), 2^n bytes. Each class is
-    keyed by its smallest table, in increasing order of the keys."""
+    keyed by its smallest table, in increasing order of the keys. The
+    result is shared by every caller, so it is read-only."""
     # padded with the identity on 2^n..255 a table is a bytes.translate
     # table, so a.translate(g + pad) is g o a
     order = group_orders(n)[1]
@@ -462,13 +470,14 @@ def _point_table_classes(n: int) -> dict[bytes, set[bytes]]:
                     cls.add(c)
                     queue.append(c)
         elements -= cls
-        classes[key] = cls
-    return classes
+        classes[key] = frozenset(cls)
+    return MappingProxyType(classes)
 
 
-# the one cached cell list: each n = 4 walk takes over a second
-@functools.lru_cache(maxsize=None)
-def _exhaustive_cells_cached(n: int) -> tuple[ConjCell, ...]:
+def exhaustive_cells(n: int) -> list[ConjCell]:
+    """True conjugacy classes of AGL(n,2) by full enumeration; n <= 4."""
+    if not 1 <= n <= 4:
+        raise ValueError(f"exhaustive provider supports n <= 4, got n={n}")
     order = group_orders(n)[1]
     # only the reps are decoded
     cells = [ConjCell(from_permutation(Permutation(n, tuple(key))), len(cls))
@@ -476,14 +485,7 @@ def _exhaustive_cells_cached(n: int) -> tuple[ConjCell, ...]:
     if sum(c.size for c in cells) != order:
         raise RuntimeError(
             f"class sizes sum to {sum(c.size for c in cells)}, not {order}")
-    return tuple(cells)
-
-
-def exhaustive_cells(n: int) -> list[ConjCell]:
-    """True conjugacy classes of AGL(n,2) by full enumeration; n <= 4."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"exhaustive provider supports n <= 4, got n={n}")
-    return list(_exhaustive_cells_cached(n))
+    return cells
 
 
 # --- cell files --------------------------------------------------------------
@@ -509,6 +511,8 @@ def export_cells(cells: list[ConjCell], path) -> None:
 def import_cells(path) -> list[ConjCell]:
     """Parse and validate a cell file: representatives must be invertible
     and sizes must sum to |AGL(n,2)|."""
+    if path is None:
+        raise ValueError("the import provider requires a cell file")
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
     if not lines:

@@ -365,9 +365,6 @@ def test_resolve_cells_errors():
         resolve_cells(3, "import")
     with pytest.raises(ValueError):
         resolve_cells(3, "mystery")
-    for provider in ("canonical", "exhaustive"):
-        with pytest.raises(ValueError, match="import provider"):
-            resolve_cells(None, provider)
 
 
 def test_resolve_cells_import_checks_n(tmp_path):

@@ -83,13 +83,42 @@ def test_threads_below_one_is_usage_error(capsys):
 
 def test_threads_rejected_before_cells_are_built(capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(cli, "resolve_cells",
+    monkeypatch.setattr(burnside, "resolve_cells",
                         lambda *args, **kwargs: built.append(args))
     for args in (("count", "--n", "9", "--s", "3", "--k", "1"),
                  ("verify", "--max-n", "9")):
         assert run_cli(*args, "--threads", "0") == 2
         assert "threads" in capsys.readouterr().err
     assert built == []
+
+
+def test_cells_are_built_once_inside_count_pairs(capsys, monkeypatch):
+    # count and verify leave the cell build to count_pairs: each n is
+    # built once, while count_pairs runs
+    inside, builds = [], []
+    real_count_pairs = burnside.count_pairs
+    real_build = burnside.rational_cells
+
+    def spy_count_pairs(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_count_pairs(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def spy_build(n):
+        builds.append((n, bool(inside)))
+        return real_build(n)
+
+    monkeypatch.setattr(burnside, "count_pairs", spy_count_pairs)
+    monkeypatch.setattr(cli, "count_pairs", spy_count_pairs)
+    monkeypatch.setattr(burnside, "rational_cells", spy_build)
+    assert run_cli("count", "--n", "5", "--s", "3", "--k", "1") == 0
+    assert builds == [(5, True)]
+    builds.clear()
+    assert run_cli("verify", "--max-n", "5") == 0
+    assert builds == [(3, True), (4, True), (5, True)]
+    capsys.readouterr()
 
 
 def test_classes_takes_no_threads(capsys, tmp_path):
@@ -130,7 +159,7 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("generators produced 1 of 24 elements")
 
-    monkeypatch.setattr(cli, "resolve_cells", broken)
+    monkeypatch.setattr(burnside, "resolve_cells", broken)
     assert run_cli("count", "--n", "2", "--s", "2", "--k", "-1") == 3
     internal_error("broken")
 
@@ -190,6 +219,21 @@ def test_verify_provider_failure_prints_no_checks(capsys):
     assert not any(ln.startswith("check ")
                    for ln in captured.out.splitlines())
     assert "n <= 4" in captured.err
+
+
+def test_verify_count_failure_prints_no_checks(capsys, monkeypatch):
+    # the n = 3 rows count fine, the n = 4 sum breaks: every n is counted
+    # before the first check line, so no partial report
+    real = burnside._pair_partial_sums
+    monkeypatch.setattr(
+        burnside, "_pair_partial_sums",
+        lambda n, pairs, cells:
+            [0] * len(pairs) if n == 4 else real(n, pairs, cells))
+    assert run_cli("verify", "--max-n", "4") == 3
+    captured = capsys.readouterr()
+    assert not any(ln.startswith("check ")
+                   for ln in captured.out.splitlines())
+    assert captured.err.splitlines()[-1].startswith("internal error: n=4 ")
 
 
 def test_verify_mismatch_exits_1(capsys, tmp_path):

@@ -304,7 +304,22 @@ def test_exhaustive_cells_size_sum_raises(monkeypatch):
     monkeypatch.setattr(conjclasses, "ConjCell",
                         lambda rep, size: ConjCell(rep, size + 1))
     with pytest.raises(RuntimeError, match="sum"):
-        conjclasses._exhaustive_cells_cached.__wrapped__(2)
+        exhaustive_cells(2)
+
+
+def test_exhaustive_walk_is_cached_read_only():
+    # the cached walk is shared by every call, so no caller may change it
+    classes = conjclasses._point_table_classes(2)
+    assert conjclasses._point_table_classes(2) is classes
+    key = next(iter(classes))
+    with pytest.raises(TypeError):
+        classes[key] = frozenset()
+    with pytest.raises(AttributeError):
+        classes[key].add(bytes(4))
+    # each call decodes its own cells from the walk
+    cells = exhaustive_cells(2)
+    cells.pop()
+    assert len(exhaustive_cells(2)) == len(classes) == len(cells) + 1
 
 
 def test_export_import_roundtrip(tmp_path):
