@@ -112,7 +112,8 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     size sum and the representatives' n are checked here."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    pairs = tuple(pairs)
+    # pairs loaded from JSON are lists, which do not hash
+    pairs = tuple((k, s) for k, s in pairs)
     if not pairs:
         return {}
     for k, s in pairs:

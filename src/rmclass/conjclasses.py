@@ -8,10 +8,12 @@ cell's representative in every window. The cell sizes must sum to
 - exhaustive_cells: walk the whole group (n <= 4 only) and split it into
   true conjugacy classes.
 - affine_cells: parametrize GL(n,2) classes by rational canonical form,
-  then split each fiber of translations into its orbits under the
-  conjugations that fix the linear part. The orbits follow from the
-  partition of the x+1 blocks in closed form (see below), so the cells are
-  exactly the conjugacy classes.
+  over the monic irreducibles of degree <= n, which are read off the
+  GF(2^m) minimal-polynomial tables the merge below also uses (one table
+  per degree m, built from a primitive root); then split each fiber of
+  translations into its orbits under the conjugations that fix the linear
+  part. The orbits follow from the partition of the x+1 blocks in closed
+  form (see below), so the cells are exactly the conjugacy classes.
 - rational_cells: first merge the GL class of each A with the classes of
   every power A^j, gcd(j, ord A) = 1; then the same fiber split runs once
   per merged group, with the class sizes summed. Each cell is the union of
@@ -25,9 +27,10 @@ conjugacy classes: each cell's members are mutually conjugate.
 
 Each call builds its list afresh (the cold n = 10 build takes well under a
 tenth of a second); a caller that counts many times over one n passes the
-list it built as cells=. Only the exhaustive group walk is cached, because
-one n = 4 walk takes over a second and small-n checks count through it
-often; its representatives are decoded on every call.
+list it built as cells=. Only the exhaustive group walk and the GF(2^m)
+tables are cached, read-only: one n = 4 walk takes over a second and
+small-n checks count through it often (its representatives are decoded on
+every call), and each table serves every n >= m.
 """
 
 from __future__ import annotations
@@ -100,13 +103,6 @@ def _poly_mul(a: int, b: int) -> int:
     return r
 
 
-def _poly_rem(a: int, m: int) -> int:
-    dm = m.bit_length()
-    while a.bit_length() >= dm:
-        a ^= m << (a.bit_length() - dm)
-    return a
-
-
 def _poly_pow(p: int, e: int) -> int:
     r = 1
     for _ in range(e):
@@ -114,24 +110,12 @@ def _poly_pow(p: int, e: int) -> int:
     return r
 
 
-@functools.lru_cache(maxsize=None)
-def _irreducibles(deg: int) -> tuple[int, ...]:
-    """The monic irreducibles of degree deg except p(x) = x, sorted by
-    coefficient bits. Found by trial division."""
-    out = []
-    for p in range(1 << deg, 1 << (deg + 1)):
-        if not p & 1:
-            continue  # divisible by x
-        if all(_poly_rem(p, q) != 0 for q in range(2, 1 << (deg // 2 + 1))):
-            out.append(p)
-    return tuple(out)
-
-
 def irreducible_polys(max_degree: int) -> tuple[int, ...]:
     """All monic irreducibles of degree 1..max_degree except p(x) = x,
-    sorted by (degree, coefficient bits)."""
+    sorted by (degree, coefficient bits): the values of the GF(2^m)
+    minimal-polynomial tables (_min_polys) that the rational merge reads."""
     return tuple(p for deg in range(1, max_degree + 1)
-                 for p in _irreducibles(deg))
+                 for p in sorted(set(_min_polys(deg).values())))
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,12 +245,17 @@ _SEMISIMPLE_LCM = math.lcm(*((1 << m) - 1 for m in range(1, 11)))
 _POWERS = (13, 19, 23, 29, 37, 41, 43, 47)
 
 
-def _min_polys(m: int) -> dict[int, int]:
+@functools.lru_cache(maxsize=None)
+def _min_polys(m: int) -> MappingProxyType[int, int]:
     """{e: minimal polynomial of gamma^e} for every e in 0..2^m - 2 whose
     conjugates gamma^(e 2^i) are m distinct roots, with gamma = x in
-    GF(2)[x]/P for the first primitive P of degree m."""
+    GF(2)[x]/P for the first primitive P of degree m. Its values are
+    exactly the monic irreducibles of degree m other than x. The table is
+    shared by every caller, so it is read-only."""
     order = (1 << m) - 1
-    for prim in _irreducibles(m):
+    # x has 2^m - 1 distinct powers mod P only if every nonzero residue is
+    # a unit, so only if P is primitive, and then P is irreducible
+    for prim in range((1 << m) | 1, 1 << (m + 1), 2):
         power = [1]  # power[e] = gamma^e, packed like the polynomials
         for _ in range(order - 1):
             x = power[-1] << 1
@@ -293,7 +282,7 @@ def _min_polys(m: int) -> dict[int, int]:
                 f"minimal polynomial of gamma^{e} is not over GF(2)")
         out.update(dict.fromkeys(coset,
                                  sum(a << i for i, a in enumerate(coeffs))))
-    return out
+    return MappingProxyType(out)
 
 
 def _rational_groups(n: int) -> list[tuple[GlClassDescriptor, ...]]:
@@ -417,13 +406,14 @@ def _agl_generators(n: int) -> list[AffineElement]:
             for rows, b in gens]
 
 
-# the one cached build: each n = 4 walk takes over a second
+# cached: each n = 4 walk takes over a second
 @functools.lru_cache(maxsize=None)
-def _point_table_classes(n: int) -> MappingProxyType[bytes, frozenset[bytes]]:
+def _point_table_classes(n: int) -> tuple[bytes, ...]:
     """The conjugacy classes of AGL(n,2) by full enumeration, each element
     as its table of point images (to_permutation), 2^n bytes. Each class is
-    keyed by its smallest table, in increasing order of the keys. The
-    result is shared by every caller, so it is read-only."""
+    one bytes of its tables packed end to end, its smallest table first;
+    the classes are in increasing order of that table. The result is shared
+    by every caller, and a tuple of bytes is read-only."""
     # padded with the identity on 2^n..255 a table is a bytes.translate
     # table, so a.translate(g + pad) is g o a
     order = group_orders(n)[1]
@@ -456,22 +446,22 @@ def _point_table_classes(n: int) -> MappingProxyType[bytes, frozenset[bytes]]:
     # conjugating by a generating set reaches the whole conjugacy class;
     # ginv.translate(a + pad).translate(g) is g o a o g^-1; each class
     # found leaves the set, so what stays is not yet in a class
-    classes = {}
+    classes = []
     for key in sorted(elements):
         if key not in elements:
             continue
         cls = {key}
-        queue = [key]
-        while queue:
-            a = queue.pop() + pad
+        members = [key]  # the loop also visits what it appends
+        for a in members:
+            a += pad
             for g, ginv in gens:
                 c = ginv.translate(a).translate(g)
                 if c not in cls:
                     cls.add(c)
-                    queue.append(c)
+                    members.append(c)
         elements -= cls
-        classes[key] = frozenset(cls)
-    return MappingProxyType(classes)
+        classes.append(b"".join(members))
+    return tuple(classes)
 
 
 def exhaustive_cells(n: int) -> list[ConjCell]:
@@ -479,9 +469,11 @@ def exhaustive_cells(n: int) -> list[ConjCell]:
     if not 1 <= n <= 4:
         raise ValueError(f"exhaustive provider supports n <= 4, got n={n}")
     order = group_orders(n)[1]
-    # only the reps are decoded
-    cells = [ConjCell(from_permutation(Permutation(n, tuple(key))), len(cls))
-             for key, cls in _point_table_classes(n).items()]
+    size = 1 << n
+    # only the reps, each class's first table, are decoded
+    cells = [ConjCell(from_permutation(Permutation(n, tuple(cls[:size]))),
+                      len(cls) // size)
+             for cls in _point_table_classes(n)]
     if sum(c.size for c in cells) != order:
         raise RuntimeError(
             f"class sizes sum to {sum(c.size for c in cells)}, not {order}")

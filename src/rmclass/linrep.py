@@ -153,7 +153,7 @@ def fixed_space_log2(images: list[int], n: int,
     pivots of degree in (k', s], for every k' in the pairs. Rows are kept
     in monomial-mask positions, not the canonical order: the same
     permutation of rows and columns preserves rank."""
-    k0, top, windows = _window_plan(n, tuple(pairs))
+    k0, top, windows = _window_plan(n, tuple((k, s) for k, s in pairs))
     pivots: dict[int, int] = {}  # pivot bit -> row
     per_degree = [0] * (n + 1)
     # above[s][j] = pivots of degree >= j once the rows of degree s were in

@@ -106,6 +106,14 @@ def test_count_pairs_matches_single_counts():
         assert (r.n, r.s, r.k) == (3, s, k)
 
 
+def test_count_pairs_takes_pairs_as_lists():
+    # pairs loaded from JSON are lists; the results are keyed by tuples
+    pairs = all_pairs(4)
+    as_lists = count_pairs(4, [list(p) for p in pairs])
+    assert {p: r.count for p, r in as_lists.items()} == {
+        p: r.count for p, r in count_pairs(4, pairs).items()}
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rational_counts_equal_class_counts(n):
     # the canonical path sums over rational cells; summed over the exact

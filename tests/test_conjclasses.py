@@ -65,10 +65,24 @@ def agl_generators(n):
     return gens
 
 
+def poly_rem(a, m):
+    """a mod m over GF(2), both packed as ints."""
+    while a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
+    return a
+
+
 def test_irreducible_polys():
-    assert irreducible_polys(4) == (3, 7, 11, 13, 19, 25, 31)
-    by_degree = Counter(p.bit_length() - 1 for p in irreducible_polys(10))
-    # the count of monic irreducibles of each degree (x itself excluded)
+    polys = irreducible_polys(10)
+    assert polys[:7] == irreducible_polys(4) == (3, 7, 11, 13, 19, 25, 31)
+    assert list(polys) == sorted(set(polys), key=lambda p: (p.bit_length(), p))
+    # each is irreducible by trial division (x itself excluded): with the
+    # count of monic irreducibles of each degree, the list is complete
+    for p in polys:
+        deg = p.bit_length() - 1
+        assert p & 1
+        assert all(poly_rem(p, q) for q in range(3, 1 << (deg // 2 + 1)))
+    by_degree = Counter(p.bit_length() - 1 for p in polys)
     assert [by_degree[d] for d in range(1, 11)] == [1, 1, 2, 3, 6, 9, 18, 30, 56, 99]
 
 
@@ -311,15 +325,26 @@ def test_exhaustive_walk_is_cached_read_only():
     # the cached walk is shared by every call, so no caller may change it
     classes = conjclasses._point_table_classes(2)
     assert conjclasses._point_table_classes(2) is classes
-    key = next(iter(classes))
     with pytest.raises(TypeError):
-        classes[key] = frozenset()
-    with pytest.raises(AttributeError):
-        classes[key].add(bytes(4))
+        classes[0] = bytes(4)
+    with pytest.raises(TypeError):
+        classes[0][0] = 1
     # each call decodes its own cells from the walk
     cells = exhaustive_cells(2)
     cells.pop()
     assert len(exhaustive_cells(2)) == len(classes) == len(cells) + 1
+
+
+def test_exhaustive_walk_packs_each_class_smallest_first():
+    size = 1 << 4
+    classes = conjclasses._point_table_classes(4)
+    assert sum(len(cls) for cls in classes) == group_orders(4)[1] * size
+    assert all(len(cls) % size == 0 for cls in classes)
+    tables = [[cls[i:i + size] for i in range(0, len(cls), size)]
+              for cls in classes]
+    assert all(ts[0] == min(ts) for ts in tables)
+    assert [ts[0] for ts in tables] == sorted(ts[0] for ts in tables)
+    assert len({t for ts in tables for t in ts}) == group_orders(4)[1]
 
 
 def test_export_import_roundtrip(tmp_path):
@@ -406,6 +431,15 @@ def test_rational_powers_are_sound():
             p: m for p in irreducible_polys(m) if p.bit_length() == m + 1}
 
 
+def test_min_polys_are_cached_read_only():
+    # one table per degree serves gl_classes and the merge of every n
+    table = conjclasses._min_polys(5)
+    assert conjclasses._min_polys(5) is table
+    with pytest.raises(TypeError):
+        table[0] = 0b11
+    assert len(table) == 30 and 0 not in table
+
+
 def merged_gl_partition(n):
     """GL class index -> smallest index of the GL classes merged with it."""
     index = {cls.assignment: i for i, cls in enumerate(gl_classes(n))}
@@ -475,11 +509,14 @@ def test_rational_groups_share_fixdims(n):
 def test_rational_cells_are_power_classes(n):
     # each rational cell is the union of the true classes of g^j over every
     # j prime to ord(g), all found from point tables
+    size = 1 << n
     classes = conjclasses._point_table_classes(n)
-    owner = {t: key for key, cls in classes.items() for t in cls}
-    ident = bytes(range(1 << n))
+    owner = {cls[i:i + size]: cls[:size]
+             for cls in classes for i in range(0, len(cls), size)}
+    class_size = {cls[:size]: len(cls) // size for cls in classes}
+    ident = bytes(range(size))
     want = set()
-    for key in classes:
+    for key in class_size:
         powers = [key]  # powers[j - 1] is g^j
         while powers[-1] != ident:
             powers.append(bytes(key[x] for x in powers[-1]))
@@ -492,7 +529,7 @@ def test_rational_cells_are_power_classes(n):
     assert [len(keys) for keys in got] == [len(group) for group in groups]
     assert len(got) == len(want) and set(got) == want
     assert [c.size for c in rational_cells(n)] == [
-        sum(len(classes[key]) for key in keys) for keys in got]
+        sum(class_size[key] for key in keys) for keys in got]
 
 
 # --- the invariant checks of the cell build ---------------------------------
@@ -520,6 +557,10 @@ def gl2_groups(*indices):
 ], ids=["power-not-prime", "image-no-class", "mixed-x1-partitions",
         "size-sum"])
 def test_cell_build_invariants_raise(monkeypatch, name, fake, match):
+    # the GL classes come from the real tables, so a fake table reaches
+    # only the merge
+    classes = gl_classes(2)
+    monkeypatch.setattr(conjclasses, "gl_classes", lambda n: classes)
     monkeypatch.setattr(conjclasses, name, fake)
     with pytest.raises(RuntimeError, match=match):
         rational_cells(2)

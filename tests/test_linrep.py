@@ -269,6 +269,8 @@ def test_fixed_space_mixed_pair_order_and_bad_pairs_raise():
         want.append(space_dimension(3, s, k) - rank(t ^ identity(t.rows)))
     assert fixed_space_log2(images, 3, pairs) == want
     assert fixed_space_log2(images, 3, tuple(pairs)) == want
+    # pairs loaded from JSON are lists
+    assert fixed_space_log2(images, 3, [list(p) for p in pairs]) == want
     # s out of range, k not below s, k below -1: each raises every time,
     # also after a valid call for the same n
     for bad in [(0, 4), (2, 2), (2, 1), (-2, 1)]:
