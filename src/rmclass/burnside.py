@@ -2,18 +2,20 @@
 
 For each cell (one representative g, exact size) the number of coefficient
 vectors fixed by g is 2^(d - rank(tau_g xor I)); the class count is the
-size-weighted sum over cells divided by |AGL(n,2)|. The canonical cells are
-the rational cells of conjclasses, unions of the conjugacy classes of the
-generators of one cyclic subgroup. Everything is exact integer arithmetic;
-a nonzero remainder in the final division means the cell decomposition is
-broken and raises instead of rounding.
+size-weighted sum over cells divided by |AGL(n,2)|. The rank is taken
+without the coordinates that g leaves alone (see _pair_partial_sums). The
+canonical cells are the rational cells of conjclasses, unions of the
+conjugacy classes of the generators of one cyclic subgroup. Everything is
+exact integer arithmetic; a nonzero remainder in the final division means
+the cell decomposition is broken and raises instead of rounding.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -25,10 +27,22 @@ from .conjclasses import (
     import_cells,
     rational_cells,
 )
+from .gf2 import BitMatrix, BitVector
 from .group import AffineElement, group_orders
 from .linrep import fixed_space_log2, monomial_images, translated_images
 
 PROVIDERS = ("exhaustive", "canonical", "import")
+
+
+def __getattr__(name):
+    # the process pool is imported on first use, so a serial count never
+    # loads concurrent.futures and multiprocessing; from then on, or once
+    # replaced, ProcessPoolExecutor is a plain module attribute
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InexactDivisionError(ArithmeticError):
@@ -67,28 +81,93 @@ def resolve_cells(n: int, provider: str = "canonical", *,
     raise ValueError(f"unknown provider {provider!r}; expected {PROVIDERS}")
 
 
+def _run_free_mask(run: list[ConjCell]) -> int:
+    """The free coordinates that every cell of a run (one linear part A)
+    shares: bit i is set when row i and column i of A are e_i and b_i = 0
+    in every cell, so that each leaves x_i alone."""
+    rows = run[0].rep.a.row_bits
+    free = 0
+    for i, row in enumerate(rows):
+        if row == 1 << i:
+            free |= row
+    for i, row in enumerate(rows):
+        if row != 1 << i:
+            free &= ~row
+    for cell in run:
+        free &= ~cell.rep.b.bits
+    return free
+
+
+def _squeeze(bits: int, kept: list[int]) -> int:
+    """bits with only the positions in kept, renumbered from 0."""
+    return sum(((bits >> i) & 1) << j for j, i in enumerate(kept))
+
+
+@functools.lru_cache(maxsize=256)
+def _peel_plan(n: int, r: int, pairs: tuple[tuple[int, int], ...]):
+    """The windows a cell with r free coordinates is eliminated on, as
+    (reduced windows, their smallest k, their largest s, terms per pair).
+    A y-monomial of degree j in the r free variables carries the window
+    shifted by j, so with m = n - r
+        fixdim_n(k, s) = sum_j C(r, j) fixdim_m(max(k - j, -1), min(s - j, m)),
+    and the terms of a pair are its (C(r, j), reduced window index) for
+    the nonempty shifted windows; an empty one adds 0. With r = 0 the
+    reduced windows are the pairs themselves."""
+    m = n - r
+    windows: dict[tuple[int, int], int] = {}
+    terms = []
+    for k, s in pairs:
+        row = []
+        for j in range(r + 1):
+            w = (max(k - j, -1), min(s - j, m))
+            if w[0] < w[1]:
+                row.append((math.comb(r, j),
+                            windows.setdefault(w, len(windows))))
+        terms.append(tuple(row))
+    return (tuple(windows), min(k for k, _ in windows),
+            max(s for _, s in windows), tuple(terms))
+
+
 def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
                        cells: list[ConjCell]) -> list[int]:
     """Size-weighted fixed-point sums of a slice of cells, one per pair.
-    Each cell makes one fixed_space_log2 call, whose single elimination
-    serves every window (k, s]. A cell (A, e_start) whose A equals that of
-    the last b = 0 cell before it derives its images from that cell's
+
+    The slice is taken run by run (maximal blocks of consecutive cells with
+    equal linear parts). A run's free coordinates, those that every cell
+    of the run leaves alone (_run_free_mask), are deleted once, which leaves
+    each cell as an element on m = n - r variables. Each cell makes one
+    fixed_space_log2 call on its reduced windows, whose single elimination
+    serves every one of them, and the n-variable fixdims are their
+    convolution (_peel_plan). A reduced cell (A1, e_start) after its run's
+    reduced (A1, 0) derives its images from that cell's
     (translated_images) instead of building them."""
-    max_s = max(s for _, s in pairs)
-    min_k = min(k for k, _ in pairs)
     sums = [0] * len(pairs)
-    base_a = base = None
-    for cell in cells:
-        g = cell.rep
-        b = g.b.bits
-        if b and not b & (b - 1) and g.a == base_a:
-            images = translated_images(base, n, b, max_s, min_k)
-        else:
-            images = monomial_images(g, max_s, min_k)
-            if not b:
-                base_a, base = g.a, images
-        for i, fixdim in enumerate(fixed_space_log2(images, n, pairs)):
-            sums[i] += cell.size << fixdim
+    for _, run in groupby(cells, key=lambda c: c.rep.a):
+        run = list(run)
+        free = _run_free_mask(run)
+        r = free.bit_count()
+        m = n - r
+        windows, k0, top, terms = _peel_plan(n, r, pairs)
+        if r:
+            kept = [i for i in range(n) if not free >> i & 1]
+            rows = run[0].rep.a.row_bits
+            a = BitMatrix(m, m, tuple(_squeeze(rows[i], kept) for i in kept))
+        base = None
+        for cell in run:
+            b = _squeeze(cell.rep.b.bits, kept) if r else cell.rep.b.bits
+            if b and not b & (b - 1) and base is not None:
+                images = translated_images(base, m, b, top, k0)
+            else:
+                g = AffineElement(m, a, BitVector(m, b)) if r else cell.rep
+                images = monomial_images(g, top, k0)
+                if not b:
+                    base = images
+            fixdims = fixed_space_log2(images, m, windows)
+            if r:
+                fixdims = [sum(c * fixdims[w] for c, w in row)
+                           for row in terms]
+            for i, fixdim in enumerate(fixdims):
+                sums[i] += cell.size << fixdim
     return sums
 
 
@@ -100,11 +179,14 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     result carries the elapsed time of the whole sweep, which starts once
     the cells are built and checked.
 
-    Images are built once per run of cells with equal linear parts: a
-    cell (A, e_start) derives them from the last (A, 0) cell before it.
-    With threads > 1 the runs are dealt whole to at most
-    min(threads, runs, CPUs) worker processes, each run to the worker with
-    the fewest cells so far.
+    Each run of cells with equal linear parts is eliminated without the
+    coordinates that all its cells leave alone, and its images are built
+    once: a cell (A, e_start) derives them from the last (A, 0) cell
+    before it. With threads > 1 the runs are dealt whole to at most
+    min(threads, runs, CPUs) worker processes. A run of c cells on
+    m = n - r variables weighs c * 2^m rows; the heaviest run goes first,
+    each to the worker with the fewest rows so far. A serial count never
+    imports the process pool.
 
     Given cells must partition AGL(n,2), and every member of a cell must fix
     the same number of vectors as its representative in every window, as
@@ -138,12 +220,20 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     workers = min(threads, len(runs), os.cpu_count() or 1)
     if workers > 1:
         # whole runs, so that every fiber cell finds its zero coset's
-        # images in its own slice; each run goes to the slice with the
-        # fewest cells so far
+        # images in its own slice; the heaviest run first, each to the
+        # slice with the fewest rows so far
         slices = [[] for _ in range(workers)]
-        for run in runs:
-            min(slices, key=len).extend(run)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        rows = [0] * workers
+        weighed = [(len(run) << (n - _run_free_mask(run).bit_count()), run)
+                   for run in runs]
+        for weight, run in sorted(weighed, key=lambda wr: -wr[0]):
+            w = rows.index(min(rows))
+            slices[w].extend(run)
+            rows[w] += weight
+        # a value patched onto the module attribute wins over the import
+        executor = (globals().get("ProcessPoolExecutor")
+                    or __getattr__("ProcessPoolExecutor"))
+        with executor(max_workers=workers) as pool:
             partials = list(pool.map(_pair_partial_sums,
                                      [n] * workers, [pairs] * workers, slices))
         sums = [sum(p[i] for p in partials) for i in range(len(pairs))]

@@ -1,11 +1,16 @@
+import collections
 import itertools
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import find_inexact_swap, make_example
 from helpers_oracle import FROZEN_COUNTS, brute_class_count, valid_pairs
+import rmclass
 from rmclass import burnside, conjclasses
 from rmclass.burnside import (
     InexactDivisionError,
@@ -25,8 +30,9 @@ from rmclass.conjclasses import (
     import_cells,
     rational_cells,
 )
-from rmclass.gf2 import BitVector, mat_vec
-from rmclass.group import AffineElement, group_orders, identity
+from rmclass.cli import load_oracle
+from rmclass.gf2 import BitMatrix, BitVector, mat_vec
+from rmclass.group import AffineElement, group_orders, identity, to_permutation
 from rmclass.anf import space_dimension
 from rmclass.linrep import (
     fixed_space_log2,
@@ -218,6 +224,32 @@ def test_pair_partial_sums_derive_only_from_the_same_linear_part():
         fresh_partial_sums(n, pairs, cells)
 
 
+def runs(cells):
+    """The maximal blocks of consecutive cells with equal linear parts."""
+    return [tuple(run) for _, run in
+            itertools.groupby(cells, key=lambda c: c.rep.a)]
+
+
+def free_coordinates(run):
+    """The coordinates i that every cell of a run leaves alone: row i and
+    column i of A are e_i, and b_i = 0 in every cell."""
+    a = run[0].rep.a
+    return [i for i in range(a.rows)
+            if a.row(i).bits == 1 << i and a.column(i).bits == 1 << i
+            and not any(c.rep.b[i] for c in run)]
+
+
+def reduced_zero_coset(run):
+    """(A, 0) of a run with its free coordinates deleted."""
+    free = free_coordinates(run)
+    a = run[0].rep.a
+    kept = [i for i in range(a.rows) if i not in free]
+    m = len(kept)
+    rows = tuple(sum(a.row(i)[j] << t for t, j in enumerate(kept))
+                 for i in kept)
+    return AffineElement(m, BitMatrix(m, m, rows), BitVector(m, 0))
+
+
 def test_pair_partial_sums_reuse_imported_linear_parts(monkeypatch, tmp_path):
     # read back from a file, the cells of one linear part hold equal but
     # distinct BitMatrix objects; they still share one image build, with
@@ -237,7 +269,7 @@ def test_pair_partial_sums_reuse_imported_linear_parts(monkeypatch, tmp_path):
 
     monkeypatch.setattr(burnside, "monomial_images", spy)
     got = burnside._pair_partial_sums(n, pairs, cells)
-    assert built == [c.rep for c in cells if not c.rep.b.bits]
+    assert built == [reduced_zero_coset(run) for run in runs(cells)]
     assert got == fresh_partial_sums(n, pairs, cells)
 
 
@@ -277,17 +309,11 @@ def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
     assert FakePool.requested == []
 
 
-def runs(cells):
-    """The maximal blocks of consecutive cells with equal linear parts."""
-    return [tuple(run) for _, run in
-            itertools.groupby(cells, key=lambda c: c.rep.a)]
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
     # each run of cells with one linear part goes whole to one slice, and
-    # only its zero coset (A, 0) builds images; the fiber cells derive
-    # theirs
+    # only its zero coset (A, 0), reduced by the run's free coordinates,
+    # builds images; the fiber cells derive theirs
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     built, slices = [], []
@@ -310,14 +336,25 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         assert FakePool.requested == ([2] if threads == 2 else [])
         assert len(slices) == threads
         cells = rational_cells(n)
-        zero_cosets = [c.rep for c in cells if not c.rep.b.bits]
+        zero_cosets = [reduced_zero_coset(run) for run in runs(cells)]
         assert sorted(map(str, built)) == sorted(map(str, zero_cosets))
         # the runs of the slices are exactly the runs of the whole list
         dealt = [run for part in slices for run in runs(part)]
         assert sorted(dealt, key=str) == sorted(runs(cells), key=str)
         if threads == 2:
-            sizes = sorted(map(len, slices))
-            assert sizes[1] - sizes[0] <= max(map(len, runs(cells)))
+            # a run of c cells on m variables after the peel weighs c * 2^m
+            # rows; from the heaviest run down, each goes to a slice with
+            # the fewest rows so far
+            def weight(run):
+                return len(run) << reduced_zero_coset(run).n
+
+            owner = {str(run[0].rep): w for w, part in enumerate(slices)
+                     for run in runs(part)}
+            loads = [0, 0]
+            for run in sorted(runs(cells), key=weight, reverse=True):
+                w = owner[str(run[0].rep)]
+                assert loads[w] == min(loads)
+                loads[w] += weight(run)
 
 
 def test_count_pairs_rejects_threads_below_one():
@@ -392,3 +429,106 @@ def test_count_rejects_bad_params():
         count(11, 3, 1)
     with pytest.raises(ValueError):
         count(0, 0, -1)
+
+
+def test_process_pool_is_loaded_only_when_used():
+    # a serial count runs in the caller's process and never imports the
+    # pool; the pool stays readable as a module attribute
+    script = ("import sys, rmclass, rmclass.cli\n"
+              "rmclass.count(4, 4, 1)\n"
+              "print(sorted(m for m in ('concurrent.futures.process',\n"
+              "    'multiprocessing') if m in sys.modules))\n")
+    src = str(Path(rmclass.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == "[]"
+    from concurrent.futures import ProcessPoolExecutor
+    assert burnside.ProcessPoolExecutor is ProcessPoolExecutor
+    with pytest.raises(AttributeError, match="no_such_name"):
+        burnside.no_such_name
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_peeled_fixdims_equal_direct_elimination(n):
+    # a one-cell slice of an element with r free coordinates is eliminated
+    # on m = n - r variables and convolved back; every window must match
+    # the elimination of the unreduced element
+    pairs = tuple(all_pairs(n))
+    peeled = 0
+    for cells in (rational_cells(n), affine_cells(n)):
+        for cell in cells:
+            if not free_coordinates([cell]):
+                continue
+            peeled += 1
+            direct = fixed_space_log2(monomial_images(cell.rep), n, pairs)
+            got = burnside._pair_partial_sums(n, pairs,
+                                              [ConjCell(cell.rep, 1)])
+            assert got == [1 << f for f in direct], str(cell.rep)
+    assert peeled > 0
+
+
+def test_free_coordinates_peel_to_smaller_cells():
+    # the rational cells with r free coordinates number as many as the
+    # cells without any at n - r (with one, the identity, at n = 0), so
+    # cells(n) = sum over m <= n of r0(m)
+    per_r = {n: collections.Counter(len(free_coordinates([c]))
+                                    for c in rational_cells(n))
+             for n in range(1, 11)}
+    r0 = {0: 1, **{n: per_r[n][0] for n in per_r}}
+    assert [per_r[10][r] for r in range(11)] == \
+        [343, 187, 120, 60, 40, 18, 12, 5, 3, 1, 1]
+    for n, counts in per_r.items():
+        assert sorted(counts) == list(range(n + 1))
+        assert all(counts[r] == r0[n - r] for r in counts)
+        assert len(rational_cells(n)) == sum(r0[m] for m in range(n + 1))
+
+
+WINDOW_COUNTS = Path(__file__).with_name("window_counts.txt")
+
+
+def pinned_windows():
+    """{n: {(k, s): count}} from the regression fixture."""
+    pinned = collections.defaultdict(dict)
+    for line in WINDOW_COUNTS.read_text(encoding="ascii").splitlines():
+        if line and not line.startswith("#"):
+            n, k, s, value = map(int, line.split())
+            pinned[n][(k, s)] = value
+    return pinned
+
+
+def test_pinned_windows_cover_every_window_and_the_references():
+    pinned = pinned_windows()
+    assert sorted(pinned) == list(range(3, 11))
+    assert sum(map(len, pinned.values())) == 276
+    for n, counts in pinned.items():
+        assert sorted(counts) == sorted(all_pairs(n))
+        assert all(counts[(k, s)] == counts[(n - 1 - s, n - 1 - k)]
+                   for k, s in counts)
+    for e in load_oracle().entries:
+        assert pinned[e.n][(e.k, e.s)] == e.value
+
+
+@pytest.mark.parametrize("n", [
+    *range(3, 9),
+    *(pytest.param(n, marks=pytest.mark.extended) for n in (9, 10))])
+def test_counts_match_pinned_windows(n):
+    got = count_pairs(n, all_pairs(n))
+    assert {p: r.count for p, r in got.items()} == pinned_windows()[n]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_full_window_is_the_point_cycle_sum(n):
+    # an element fixes a function of (-1, n] iff the function is constant
+    # on its point cycles: no elimination. The sum over either cell list,
+    # divided by |AGL(n,2)|, is the pinned count, and the engine, whose
+    # peel then takes every j of its convolution, gives it for n <= 8
+    want = pinned_windows()[n][(-1, n)]
+    order = group_orders(n)[1]
+    for cells in (rational_cells(n), affine_cells(n)):
+        total = sum(c.size << len(to_permutation(c.rep).cycle_type())
+                    for c in cells)
+        assert total == want * order
+    if n <= 8:
+        assert count(n, n, -1).count == want
