@@ -85,17 +85,13 @@ def _run_free_mask(run: list[ConjCell]) -> int:
     """The free coordinates that every cell of a run (one linear part A)
     shares: bit i is set when row i and column i of A are e_i and b_i = 0
     in every cell, so that each leaves x_i alone."""
-    rows = run[0].rep.a.row_bits
-    free = 0
-    for i, row in enumerate(rows):
-        if row == 1 << i:
-            free |= row
-    for i, row in enumerate(rows):
+    used = 0
+    for i, row in enumerate(run[0].rep.a.row_bits):
         if row != 1 << i:
-            free &= ~row
+            used |= row | 1 << i
     for cell in run:
-        free &= ~cell.rep.b.bits
-    return free
+        used |= cell.rep.b.bits
+    return (1 << run[0].rep.n) - 1 & ~used
 
 
 def _squeeze(bits: int, kept: list[int]) -> int:
@@ -138,9 +134,10 @@ def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
     each cell as an element on m = n - r variables. Each cell makes one
     fixed_space_log2 call on its reduced windows, whose single elimination
     serves every one of them, and the n-variable fixdims are their
-    convolution (_peel_plan). A reduced cell (A1, e_start) after its run's
-    reduced (A1, 0) derives its images from that cell's
-    (translated_images) instead of building them."""
+    convolution (_peel_plan). The images are built once per run, for
+    its reduced zero coset (A1, 0), and every cell (A1, b) with b != 0
+    derives its own from them (translated_images), whatever the order of
+    the run's cells or the bits of their translations."""
     sums = [0] * len(pairs)
     for _, run in groupby(cells, key=lambda c: c.rep.a):
         run = list(run)
@@ -148,20 +145,15 @@ def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
         r = free.bit_count()
         m = n - r
         windows, k0, top, terms = _peel_plan(n, r, pairs)
+        a = run[0].rep.a
         if r:
             kept = [i for i in range(n) if not free >> i & 1]
-            rows = run[0].rep.a.row_bits
-            a = BitMatrix(m, m, tuple(_squeeze(rows[i], kept) for i in kept))
-        base = None
+            a = BitMatrix(m, m, tuple(_squeeze(a.row_bits[i], kept)
+                                      for i in kept))
+        base = monomial_images(AffineElement(m, a, BitVector(m, 0)), top, k0)
         for cell in run:
             b = _squeeze(cell.rep.b.bits, kept) if r else cell.rep.b.bits
-            if b and not b & (b - 1) and base is not None:
-                images = translated_images(base, m, b, top, k0)
-            else:
-                g = AffineElement(m, a, BitVector(m, b)) if r else cell.rep
-                images = monomial_images(g, top, k0)
-                if not b:
-                    base = images
+            images = translated_images(base, m, b, top, k0) if b else base
             fixdims = fixed_space_log2(images, m, windows)
             if r:
                 fixdims = [sum(c * fixdims[w] for c, w in row)
@@ -181,12 +173,12 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
 
     Each run of cells with equal linear parts is eliminated without the
     coordinates that all its cells leave alone, and its images are built
-    once: a cell (A, e_start) derives them from the last (A, 0) cell
-    before it. With threads > 1 the runs are dealt whole to at most
-    min(threads, runs, CPUs) worker processes. A run of c cells on
-    m = n - r variables weighs c * 2^m rows; the heaviest run goes first,
-    each to the worker with the fewest rows so far. A serial count never
-    imports the process pool.
+    once, for its zero coset (A, 0): every cell (A, b) of the run derives
+    its own from them, whatever its translation. With threads > 1 the
+    runs are dealt whole to at most min(threads, runs, CPUs) worker
+    processes. A run of c cells on m = n - r variables weighs c * 2^m
+    rows; the heaviest run goes first, each to the worker with the fewest
+    rows so far. A serial count never imports the process pool.
 
     Given cells must partition AGL(n,2), and every member of a cell must fix
     the same number of vectors as its representative in every window, as
@@ -219,9 +211,9 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     # never more processes than runs or CPUs
     workers = min(threads, len(runs), os.cpu_count() or 1)
     if workers > 1:
-        # whole runs, so that every fiber cell finds its zero coset's
-        # images in its own slice; the heaviest run first, each to the
-        # slice with the fewest rows so far
+        # whole runs, so that each run's images are built in one slice
+        # only; the heaviest run first, each to the slice with the fewest
+        # rows so far
         slices = [[] for _ in range(workers)]
         rows = [0] * workers
         weighed = [(len(run) << (n - _run_free_mask(run).bit_count()), run)

@@ -76,21 +76,25 @@ def monomial_images(g: AffineElement, max_degree: int | None = None,
 
 def translated_images(base: list[int], n: int, b: int,
                       max_degree: int | None = None, k: int = -1) -> list[int]:
-    """The images of (A, b) for a single-bit translation b = 1 << start,
-    from the images base of (A, 0) built with the same max_degree and k.
-    Only the affine form of variable start gains the constant 1, so for u
-    containing start, image_b(u) = image_0(u) xor image_0(u - start); every
-    other entry is unchanged. The entries that windows within
-    (k, max_degree] read are exact above degree k: a base entry u - start
-    that the pruning left at 0 would have only terms of degree <= k (see
-    _image_masks)."""
-    if not b or b & (b - 1):
-        raise ValueError(f"translation {b:#x} is not a single bit")
+    """The images of (A, b) for any translation b, from the images base of
+    (A, 0) built with the same max_degree and k. Translating by one more
+    bit t gives only the affine form of that variable the constant 1, so
+    for u containing t, image(u) gains image(u - t), which does not
+    contain t; one in-place pass per set bit of b, in any order, makes
+    m_u(Ax xor b) = sum over S within u & b of image_0(u - S). The entries
+    that windows within (k, max_degree] read are exact above degree k
+    after every pass: an entry u - t that the pruning left at 0 would have
+    only terms of degree <= k (see _image_masks)."""
+    if b >> n:
+        raise ValueError(f"translation {b:#x} is out of range for n={n}")
     if max_degree is None:
         max_degree = n
     images = base.copy()
-    for u in _image_masks_with(n, max_degree, k, b):
-        images[u] ^= base[u ^ b]
+    while b:
+        t = b & -b
+        b ^= t
+        for u in _image_masks_with(n, max_degree, k, t):
+            images[u] ^= images[u ^ t]
     return images
 
 

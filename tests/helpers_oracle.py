@@ -4,10 +4,15 @@ Deliberately independent of the package internals: a point of GF(2)^n is
 the index built with coordinate 1 as the high bit, a Boolean function is
 a truth-table int of 2^n bits (bit i = value at point i), and group
 elements are permutation tuples grown by closure from a few generators.
+point_fixdims alone takes a package element, and only its matrix-vector
+product; it indexes points as the monomial masks do, bit j = coordinate
+j + 1, so that one subset transform pairs the two.
 """
 
 import functools
 import itertools
+
+from rmclass.gf2 import BitVector, mat_vec
 
 
 def agl_order(n: int) -> int:
@@ -101,6 +106,43 @@ def brute_class_count(n: int, s: int, k: int) -> int:
                     seen.add(image)
                     stack.append(image)
     return orbits
+
+
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of ints read as bit vectors, by highest-bit pivots."""
+    basis = {}  # highest bit -> vector
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
+
+
+def point_fixdims(g, pairs) -> list[int]:
+    """d - rank(tau_g xor I) on each window (k, s] of pairs, from the map
+    x -> Ax xor b on the points: the image of monomial u is its truth
+    table composed with that map and transformed back to an ANF, so no
+    substitution of affine forms is involved."""
+    n = g.n
+    size = 1 << n
+    point = [mat_vec(g.a, BitVector(n, x)).bits ^ g.b.bits
+             for x in range(size)]
+    moved = []
+    for u in range(size):
+        table = subset_transform(1 << u, n)
+        composed = 0
+        for x in range(size):
+            composed |= (table >> point[x] & 1) << x
+        moved.append(subset_transform(composed, n) ^ 1 << u)
+    out = []
+    for k, s in pairs:
+        masks = window_masks(n, s, k)
+        keep = sum(1 << u for u in masks)
+        out.append(len(masks) - gf2_rank(moved[u] & keep for u in masks))
+    return out
 
 
 def valid_pairs(n: int) -> list[tuple[int, int]]:

@@ -8,8 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import find_inexact_swap, make_example
-from helpers_oracle import FROZEN_COUNTS, brute_class_count, valid_pairs
+from conftest import all_elements, find_inexact_swap, make_example
+from helpers_oracle import (
+    FROZEN_COUNTS,
+    brute_class_count,
+    point_fixdims,
+    valid_pairs,
+)
 import rmclass
 from rmclass import burnside, conjclasses
 from rmclass.burnside import (
@@ -32,7 +37,14 @@ from rmclass.conjclasses import (
 )
 from rmclass.cli import load_oracle
 from rmclass.gf2 import BitMatrix, BitVector, mat_vec
-from rmclass.group import AffineElement, group_orders, identity, to_permutation
+from rmclass.group import (
+    AffineElement,
+    conjugate,
+    group_orders,
+    identity,
+    random_element,
+    to_permutation,
+)
 from rmclass.anf import space_dimension
 from rmclass.linrep import (
     fixed_space_log2,
@@ -206,9 +218,9 @@ def test_pair_partial_sums_any_slicing_or_order(n):
 
 
 def test_pair_partial_sums_derive_only_from_the_same_linear_part():
-    # a translation of two bits, an equal A after another zero coset, and
-    # a unit translation whose A differs from the last zero coset's: only
-    # the cells (A, e_i) right after (A, 0) may take its images
+    # a translation of two bits, an equal A after another run, a run
+    # whose zero coset comes last and one with no (A, 0) cell: every cell
+    # derives its images from its own run's zero coset, never another's
     n = 4
     pairs = tuple(all_pairs(n))
     a1, a2 = gl_classes(n)[5].rep, gl_classes(n)[9].rep
@@ -271,6 +283,31 @@ def test_pair_partial_sums_reuse_imported_linear_parts(monkeypatch, tmp_path):
     got = burnside._pair_partial_sums(n, pairs, cells)
     assert built == [reduced_zero_coset(run) for run in runs(cells)]
     assert got == fresh_partial_sums(n, pairs, cells)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_images_are_built_once_per_run_in_any_order_or_basis(monkeypatch, n):
+    # each run of affine_cells(n) conjugated by its own random linear h,
+    # which spreads the translations over several bits, with its zero
+    # coset moved to the end: still one build per run, for its reduced
+    # (A, 0), and the pinned counts
+    rng = random.Random(n)
+    cells = []
+    for run in runs(affine_cells(n)):
+        h = AffineElement(n, random_element(n, rng).a, BitVector(n, 0))
+        moved = [ConjCell(conjugate(h, c.rep), c.size) for c in run]
+        cells += sorted(moved, key=lambda c: not c.rep.b.bits)
+    assert any(c.rep.b.bits & (c.rep.b.bits - 1) for c in cells)
+    built = []
+
+    def spy(g, *args, real=burnside.monomial_images):
+        built.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(burnside, "monomial_images", spy)
+    got = count_pairs(n, all_pairs(n), cells=cells)
+    assert built == [reduced_zero_coset(run) for run in runs(cells)]
+    assert {p: r.count for p, r in got.items()} == pinned_windows()[n]
 
 
 class FakePool:
@@ -448,6 +485,24 @@ def test_process_pool_is_loaded_only_when_used():
     assert burnside.ProcessPoolExecutor is ProcessPoolExecutor
     with pytest.raises(AttributeError, match="no_such_name"):
         burnside.no_such_name
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fixdims_match_the_point_permutation_oracle(n):
+    # every window of every conjugacy class for n <= 6, and of every
+    # element for n <= 3, against the truth-table path of point_fixdims,
+    # which shares no code with the substitution kernel: through a
+    # one-cell slice (peeled, and derived from its zero coset when b != 0)
+    # and through one elimination of the element's own images
+    pairs = tuple(all_pairs(n))
+    elements = [c.rep for c in affine_cells(n)]
+    if n <= 3:
+        elements += all_elements(n)
+    for g in elements:
+        want = point_fixdims(g, pairs)
+        assert burnside._pair_partial_sums(n, pairs, [ConjCell(g, 1)]) == \
+            [1 << f for f in want], str(g)
+        assert fixed_space_log2(monomial_images(g), n, pairs) == want, str(g)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import TAU_ROWS, TAU_ROWS_UNREACHABLE, make_example
+from conftest import (
+    TAU_ROWS,
+    TAU_ROWS_UNREACHABLE,
+    all_elements,
+    make_example,
+)
 from rmclass.anf import (
     Anf,
     CoefficientVector,
@@ -309,8 +314,29 @@ def test_translated_images_match_fresh_build(n):
                 read_part(monomial_images(g, s, k), n, s, k), (g, k, s)
 
 
-def test_translated_images_need_a_single_bit():
+def test_translated_images_take_any_translation():
+    # one pass per bit of b: every element for n <= 3 and random elements
+    # with translations of several bits for n = 4..7, against their own
+    # build on every entry and on what each pruned window reads
+    rng = random.Random(17)
+    elements = [g for n in range(1, 4) for g in all_elements(n)]
+    for n in range(4, 8):
+        for _ in range(20):
+            # two adjacent bits at least
+            b = rng.randrange(1 << n) | 0b11 << rng.randrange(n - 1)
+            elements.append(AffineElement(n, random_element(n, rng).a,
+                                          BitVector(n, b)))
+    for g in elements:
+        n = g.n
+        zero = AffineElement(n, g.a, BitVector(n, 0))
+        b = g.b.bits
+        assert translated_images(monomial_images(zero), n, b) == \
+            monomial_images(g), g
+        for k, s in all_pairs(n):
+            got = translated_images(monomial_images(zero, s, k), n, b, s, k)
+            assert read_part(got, n, s, k) == \
+                read_part(monomial_images(g, s, k), n, s, k), (g, k, s)
     images = monomial_images(group_identity(3))
-    for b in (0, 0b011, 0b111):
-        with pytest.raises(ValueError, match="single bit"):
+    for b in (0b1000, 0b1011, -1):
+        with pytest.raises(ValueError, match="out of range"):
             translated_images(images, 3, b)
