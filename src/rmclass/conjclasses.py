@@ -47,8 +47,10 @@ from .gf2 import BitMatrix, BitVector, SingularMatrixError
 from .group import (
     AffineElement,
     Permutation,
+    element_from_text,
     from_permutation,
     group_orders,
+    inverse,
     to_permutation,
 )
 
@@ -142,27 +144,20 @@ def _conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
 
 
-def _companion(poly: int) -> BitMatrix:
-    """Companion matrix of a monic polynomial: maps e_j to e_{j+1}, with the
-    last column holding the low coefficients."""
-    d = poly.bit_length() - 1
+def _companion_sum(polys: list[int]) -> BitMatrix:
+    """The direct sum of the companion matrices of the monic polys, in
+    order along the diagonal. Each block maps e_j to e_{j+1}, and its last
+    column holds the low coefficients."""
     rows = []
-    for i in range(d):
-        r = (1 << (i - 1)) if i else 0
-        if (poly >> i) & 1:
-            r |= 1 << (d - 1)
-        rows.append(r)
-    return BitMatrix(d, d, tuple(rows))
-
-
-def _direct_sum(blocks: list[BitMatrix]) -> BitMatrix:
-    n = sum(b.rows for b in blocks)
-    rows = []
-    off = 0
-    for b in blocks:
-        rows.extend(r << off for r in b.row_bits)
-        off += b.rows
-    return BitMatrix(n, n, tuple(rows))
+    for poly in polys:
+        off = len(rows)
+        d = poly.bit_length() - 1
+        for i in range(d):
+            r = (1 << (off + i - 1)) if i else 0
+            if (poly >> i) & 1:
+                r |= 1 << (off + d - 1)
+            rows.append(r)
+    return BitMatrix(len(rows), len(rows), tuple(rows))
 
 
 def _centralizer_order(assignment) -> int:
@@ -214,10 +209,9 @@ def gl_classes(n: int) -> list[GlClassDescriptor]:
         if rem:
             raise ArithmeticError(
                 f"centralizer {cent} does not divide |GL|={gl_order}")
-        blocks = [_companion(_poly_pow(poly, e))
-                  for poly, lam in assignment for e in lam]
-        out.append(GlClassDescriptor(assignment, _direct_sum(blocks),
-                                     size, cent))
+        rep = _companion_sum([_poly_pow(poly, e)
+                              for poly, lam in assignment for e in lam])
+        out.append(GlClassDescriptor(assignment, rep, size, cent))
     if sum(c.size for c in out) != gl_order:
         raise ArithmeticError("GL class sizes do not sum to the group order")
     return out
@@ -419,13 +413,9 @@ def _point_table_classes(n: int) -> tuple[bytes, ...]:
     order = group_orders(n)[1]
     size = 1 << n
     pad = bytes(range(size, 256))
-    gens = []
-    for g in _agl_generators(n):
-        table = bytes(to_permutation(g).images)
-        inv = bytearray(size)
-        for x, y in enumerate(table):
-            inv[y] = x
-        gens.append((table + pad, bytes(inv)))
+    gens = [(bytes(to_permutation(g).images) + pad,
+             bytes(to_permutation(inverse(g)).images))
+            for g in _agl_generators(n)]
 
     # close the generators into the full group; the size check proves the
     # generating set is complete, which the class split below relies on
@@ -487,6 +477,8 @@ _CELL_RE = re.compile(r"^cell (\d+) size (\d+)$")
 
 
 def export_cells(cells: list[ConjCell], path) -> None:
+    """Write the header, then per cell its "cell <index> size <size>" line
+    and str(rep) without its n line: the element text owns the block."""
     if not cells:
         raise ValueError("refusing to export an empty decomposition")
     n = cells[0].rep.n
@@ -495,18 +487,19 @@ def export_cells(cells: list[ConjCell], path) -> None:
         if c.rep.n != n:
             raise ValueError("mixed n in cell list")
         lines.append(f"cell {idx} size {c.size}")
-        lines.extend(c.rep.a.to_strings())
-        lines.append(str(c.rep.b))
+        lines.append(str(c.rep).partition("\n")[2])
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def import_cells(path) -> list[ConjCell]:
-    """Parse and validate a cell file: representatives must be invertible
-    and sizes must sum to |AGL(n,2)|."""
+    """Read what export_cells writes (trailing blank lines pass), each rep
+    by element_from_text. Raises CellFormatError if the file does not
+    parse, and CellDecompositionError for a singular rep, a size below 1
+    or sizes that do not sum to |AGL(n,2)|; both name the cell if any."""
     if path is None:
         raise ValueError("the import provider requires a cell file")
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    # rstrip drops the blank lines after the last cell, not those before
+    lines = Path(path).read_text(encoding="ascii").rstrip().splitlines()
     if not lines:
         raise CellFormatError(f"{path}: empty cell file")
     head = _HEADER_RE.match(lines[0].strip())
@@ -515,36 +508,26 @@ def import_cells(path) -> list[ConjCell]:
     n, count = int(head.group(1)), int(head.group(2))
     if not 1 <= n <= 10:
         raise CellFormatError(f"{path}: unsupported n={n}")
+    if len(lines) != 1 + count * (n + 2):
+        raise CellFormatError(f"{path}: {len(lines)} lines, expected "
+                              f"{1 + count * (n + 2)} for {count} cells")
     cells = []
-    pos = 1
-    for idx in range(count):
-        if pos >= len(lines):
-            raise CellFormatError(f"{path}: truncated at cell {idx}")
-        m = _CELL_RE.match(lines[pos].strip())
+    for idx, start in enumerate(range(1, len(lines), n + 2)):
+        m = _CELL_RE.match(lines[start].strip())
         if not m or int(m.group(1)) != idx:
-            raise CellFormatError(f"{path}: bad cell header {lines[pos]!r}")
-        size = int(m.group(2))
-        pos += 1
-        if pos + n + 1 > len(lines):
-            raise CellFormatError(f"{path}: truncated matrix in cell {idx}")
-        rows = [ln.strip() for ln in lines[pos:pos + n]]
-        bline = lines[pos + n].strip()
-        pos += n + 1
-        for ln in rows + [bline]:
-            if len(ln) != n or set(ln) - {"0", "1"}:
-                raise CellFormatError(f"{path}: bad 0/1 line {ln!r}")
+            raise CellFormatError(f"{path}: bad first line of cell {idx}")
         try:
-            rep = AffineElement(
-                n, BitMatrix.from_strings(rows),
-                BitVector.from_entries(int(c) for c in bline))
+            rep = element_from_text("\n".join(
+                [str(n), *lines[start + 1:start + n + 2]]))
         except SingularMatrixError:
             raise CellDecompositionError(
                 f"{path}: singular linear part in cell {idx}") from None
+        except ValueError as e:
+            raise CellFormatError(f"{path}: cell {idx}: {e}") from None
+        size = int(m.group(2))
         if size < 1:
             raise CellDecompositionError(f"{path}: cell {idx} has size {size}")
         cells.append(ConjCell(rep, size))
-    if any(ln.strip() for ln in lines[pos:]):
-        raise CellFormatError(f"{path}: trailing garbage after cell {count - 1}")
     total = sum(c.size for c in cells)
     if total != group_orders(n)[1]:
         raise CellDecompositionError(

@@ -31,11 +31,13 @@ class BitVector:
 
     @classmethod
     def from_entries(cls, entries: Iterable[int]) -> "BitVector":
-        bits = 0
-        n = 0
+        """The vector whose entry i is the i-th of entries. Each must equal
+        0 or 1 (bools pass); any other entry raises ValueError."""
+        bits = n = 0
         for e in entries:
-            if e & 1:
-                bits |= 1 << n
+            if e not in (0, 1):
+                raise ValueError(f"entry {e!r} is not 0 or 1")
+            bits |= e << n
             n += 1
         return cls(n, bits)
 
@@ -78,22 +80,14 @@ class BitMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]], cols: int | None = None) -> "BitMatrix":
-        packed = []
-        width = cols
-        for row in rows:
-            ent = list(row)
-            if width is None:
-                width = len(ent)
-            elif len(ent) != width:
-                raise ValueError("ragged rows")
-            bits = 0
-            for j, e in enumerate(ent):
-                if e & 1:
-                    bits |= 1 << j
-            packed.append(bits)
-        if width is None:
-            width = 0
-        return cls(len(packed), width, tuple(packed))
+        """Row i packs rows[i] by BitVector.from_entries, so only 0 and 1
+        pass. Every row has cols entries (default: as many as the first)."""
+        packed = [BitVector.from_entries(row) for row in rows]
+        if cols is None:
+            cols = packed[0].n if packed else 0
+        if any(v.n != cols for v in packed):
+            raise ValueError("ragged rows")
+        return cls(len(packed), cols, tuple(v.bits for v in packed))
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> "BitMatrix":

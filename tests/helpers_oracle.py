@@ -22,10 +22,8 @@ def agl_order(n: int) -> int:
     return (1 << n) * gl
 
 
-@functools.lru_cache(maxsize=None)
-def all_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every permutation of {0..2^n-1} induced by an invertible affine map,
-    found by closure and checked against the group order."""
+def agl_generators(n: int) -> list[tuple[int, ...]]:
+    """Permutations of {0..2^n-1} that generate the affine group."""
     size = 1 << n
     # translation by the first unit vector
     gens = [tuple(i ^ (size >> 1) for i in range(size))]
@@ -35,6 +33,15 @@ def all_perms(n: int) -> tuple[tuple[int, ...], ...]:
                           for i in range(size)))
         gens.append(tuple(i ^ (((i >> (n - 2)) & 1) << (n - 1))
                           for i in range(size)))
+    return gens
+
+
+@functools.lru_cache(maxsize=None)
+def all_perms(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every permutation of {0..2^n-1} induced by an invertible affine map,
+    found by closure and checked against the group order."""
+    size = 1 << n
+    gens = agl_generators(n)
     ident = tuple(range(size))
     seen = {ident}
     frontier = [ident]
@@ -105,6 +112,73 @@ def brute_class_count(n: int, s: int, k: int) -> int:
                 if image not in seen:
                     seen.add(image)
                     stack.append(image)
+    return orbits
+
+
+def window_matrix(perm, n: int, masks) -> list[int]:
+    """Columns of f -> f o perm on the window spanned by masks, modulo the
+    monomials below it: column j is the image of monomial masks[j], with
+    bit i the coefficient of masks[i]. Built on truth tables, as in
+    point_fixdims."""
+    size = 1 << n
+    pos = {m: i for i, m in enumerate(masks)}
+    top = max(m.bit_count() for m in masks)
+    cols = []
+    for u in masks:
+        table = subset_transform(1 << u, n)
+        composed = 0
+        for x in range(size):
+            composed |= (table >> perm[x] & 1) << x
+        anf = subset_transform(composed, n)
+        # composition cannot raise the degree
+        assert all(m.bit_count() <= top for m in range(size) if anf >> m & 1)
+        cols.append(sum(1 << pos[m] for m in pos if anf >> m & 1))
+    return cols
+
+
+def byte_table_map(cols: list[int]):
+    """v -> the xor of cols[i] over the set bits i of v, one lookup per
+    byte of v in a table of the xors of that byte's columns."""
+    tables = []
+    for lo in range(0, len(cols), 8):
+        table = [0]
+        for c in cols[lo:lo + 8]:
+            table += [x ^ c for x in table]
+        tables.append(table)
+
+    def apply(v: int) -> int:
+        out = 0
+        for table in tables:
+            out ^= table[v & 255]
+            v >>= 8
+        return out
+
+    return apply
+
+
+def orbit_count(n: int, s: int, k: int) -> int:
+    """Orbits of f -> f o g on the coefficient vectors of the window
+    (k, s], as the connected components (union-find) of the graph that
+    joins each vector to its image under each generator: no Burnside
+    sum, no cell list and no package code."""
+    masks = window_masks(n, s, k)
+    maps = [byte_table_map(window_matrix(g, n, masks))
+            for g in agl_generators(n)]
+    parent = list(range(1 << len(masks)))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    orbits = len(parent)
+    for v in range(len(parent)):
+        for apply in maps:
+            a, b = root(v), root(apply(v))
+            if a != b:
+                parent[a] = b
+                orbits -= 1
     return orbits
 
 

@@ -12,6 +12,7 @@ from conftest import all_elements, find_inexact_swap, make_example
 from helpers_oracle import (
     FROZEN_COUNTS,
     brute_class_count,
+    orbit_count,
     point_fixdims,
     valid_pairs,
 )
@@ -571,6 +572,18 @@ def test_pinned_windows_cover_every_window_and_the_references():
 def test_counts_match_pinned_windows(n):
     got = count_pairs(n, all_pairs(n))
     assert {p: r.count for p, r in got.items()} == pinned_windows()[n]
+
+
+def test_pinned_windows_n4_are_the_orbit_counts():
+    # the orbits counted directly, as connected components under the
+    # generators, with no Burnside sum: an independent count of the 13
+    # n = 4 windows that no reference row names, and of the other two.
+    # The same count gives the frozen brute-force values for n <= 3
+    for n in (1, 2, 3):
+        assert {(k, s): orbit_count(n, s, k)
+                for k, s in valid_pairs(n)} == FROZEN_COUNTS[n]
+    assert {(k, s): orbit_count(4, s, k)
+            for k, s in valid_pairs(4)} == pinned_windows()[4]
 
 
 @pytest.mark.parametrize("n", range(3, 11))

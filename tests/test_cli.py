@@ -303,6 +303,9 @@ def test_tau_rejects_singular_element(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("not an element"))
     assert run_cli("tau", "--s", "2", "--k", "-1") == 2
     capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2\n12\n01\n00\n"))
+    assert run_cli("tau", "--s", "2", "--k", "-1") == 2
+    assert "not 0 or 1" in capsys.readouterr().err
     # a well-formed identity element with n = 24 is refused before any of
     # the 2^24-mask tables is built
     rows = ["".join("1" if j == i else "0" for j in range(24))
@@ -311,6 +314,20 @@ def test_tau_rejects_singular_element(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert run_cli("tau", "--s", "1", "--k", "0") == 2
     assert "1..10" in capsys.readouterr().err
+
+
+def test_malformed_cell_file_exits_2_naming_the_cell(capsys, tmp_path):
+    path = tmp_path / "cells.txt"
+    export_cells(affine_cells(3), path)
+    lines = path.read_text().splitlines()
+    assert lines[6].startswith("cell 1 size ")
+    for i, edit in ((7, lambda ln: ln.replace("1", "2", 1)),
+                    (6, lambda ln: "cell 1 size 0")):
+        bad = lines[:i] + [edit(lines[i])] + lines[i + 1:]
+        path.write_text("\n".join(bad) + "\n")
+        assert run_cli("verify", "--max-n", "3", "--provider", "import",
+                       "--file", str(path)) == 2
+        assert "cell 1" in capsys.readouterr().err
 
 
 def test_internal_invariant_failure_exits_3(capsys, tmp_path):

@@ -348,11 +348,14 @@ def test_exhaustive_walk_packs_each_class_smallest_first():
 
 
 def test_export_import_roundtrip(tmp_path):
-    for cells in (affine_cells(3), exhaustive_cells(2)):
+    for cells in (*map(affine_cells, range(1, 9)), exhaustive_cells(2)):
         path = tmp_path / "cells.txt"
         export_cells(cells, path)
         text = path.read_text()
         assert text.startswith("rmclass-cells v1 ")
+        assert import_cells(path) == cells
+        # blank lines after the last cell are ignored
+        path.write_text(text + "\n  \n\n")
         assert import_cells(path) == cells
 
 
@@ -386,6 +389,44 @@ def test_import_rejects_bad_files(tmp_path):
     bad[2] = "00"
     with pytest.raises(CellDecompositionError):
         import_cells(write("singular.txt", "\n".join(bad)))
+
+
+def _at(i, edit):
+    """Replace line i of a file's lines by edit(line i)."""
+    return lambda lines: lines[:i] + [edit(lines[i])] + lines[i + 1:]
+
+
+# edits of the exported affine_cells(3), whose cell 1 is lines 6..10: its
+# cell line, the three rows of A, then b. Each gives the error it must
+# raise and a text of its message, the cell's name where there is one
+CELL_1 = r"\bcell 1\b"
+MALFORMED = {
+    "size-0": (_at(6, lambda ln: "cell 1 size 0"),
+               CellDecompositionError, CELL_1),
+    "digit-2-in-a": (_at(7, lambda ln: ln.replace("1", "2", 1)),
+                     CellFormatError, CELL_1),
+    "digit-2-in-b": (_at(10, lambda ln: ln.replace("1", "2", 1)),
+                     CellFormatError, CELL_1),
+    "short-row": (_at(8, lambda ln: ln[:-1]), CellFormatError, CELL_1),
+    "blank-row": (_at(9, lambda ln: ""), CellFormatError, CELL_1),
+    "letter": (_at(8, lambda ln: "x" + ln[1:]), CellFormatError, CELL_1),
+    "blank-line-in-block": (lambda lines: lines[:8] + [""] + lines[8:],
+                            CellFormatError, "lines"),
+    "leading-blank-line": (lambda lines: [""] + lines,
+                           CellFormatError, "header"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_import_rejects_malformed_cells(tmp_path, case):
+    edit, error, text = MALFORMED[case]
+    path = tmp_path / "cells.txt"
+    export_cells(affine_cells(3), path)
+    lines = path.read_text().splitlines()
+    assert lines[6].startswith("cell 1 size ") and edit(lines) != lines
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(error, match=text):
+        import_cells(path)
 
 
 def test_affine_cells_rejects_out_of_range():

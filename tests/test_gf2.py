@@ -46,6 +46,25 @@ def test_bitmatrix_roundtrips():
     assert str(m) == "110\n010\n001"
 
 
+def test_constructors_take_only_0_and_1():
+    # an odd entry used to be read as a 1 and an even one as a 0
+    for bad in ([2, 3], [1, 0, 2], [-1], ["1"]):
+        with pytest.raises(ValueError, match="not 0 or 1"):
+            BitVector.from_entries(bad)
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        BitMatrix.from_strings(["12", "03"])
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        BitMatrix.from_rows([[1, 0], [0, 2]])
+    assert BitVector.from_entries([True, False, 1]) == BitVector(3, 0b101)
+    assert BitMatrix.from_rows([[True, 0], [0, True]]) == identity(2)
+    assert BitMatrix.from_rows([]) == BitMatrix(0, 0, ())
+    assert BitMatrix.from_rows([], cols=3) == BitMatrix(0, 3, ())
+    with pytest.raises(ValueError, match="ragged"):
+        BitMatrix.from_rows([[1, 0], [1]])
+    with pytest.raises(ValueError, match="ragged"):
+        BitMatrix.from_rows([[1, 0]], cols=3)
+
+
 def test_rank_examples():
     assert rank(zero_matrix(8)) == 0
     assert rank(identity(5)) == 5
