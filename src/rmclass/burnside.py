@@ -3,7 +3,8 @@
 For each cell (one representative g, exact size) the number of coefficient
 vectors fixed by g is 2^(d - rank(tau_g xor I)); the class count is the
 size-weighted sum over cells divided by |AGL(n,2)|. The rank is taken
-without the coordinates that g leaves alone (see _pair_partial_sums). The
+without the free coordinates of g's linear part, all of them or all but
+one (see _pair_partial_sums). The
 canonical cells are the rational cells of conjclasses, unions of the
 conjugacy classes of the generators of one cyclic subgroup. Everything is
 exact integer arithmetic; a nonzero remainder in the final division means
@@ -29,7 +30,12 @@ from .conjclasses import (
 )
 from .gf2 import BitMatrix, BitVector
 from .group import AffineElement, group_orders
-from .linrep import fixed_space_log2, monomial_images, translated_images
+from .linrep import (
+    extended_images,
+    fixed_space_log2,
+    monomial_images,
+    translated_images,
+)
 
 PROVIDERS = ("exhaustive", "canonical", "import")
 
@@ -81,22 +87,36 @@ def resolve_cells(n: int, provider: str = "canonical", *,
     raise ValueError(f"unknown provider {provider!r}; expected {PROVIDERS}")
 
 
-def _run_free_mask(run: list[ConjCell]) -> int:
-    """The free coordinates that every cell of a run (one linear part A)
-    shares: bit i is set when row i and column i of A are e_i and b_i = 0
-    in every cell, so that each leaves x_i alone."""
+def _free_mask(a: BitMatrix) -> int:
+    """The free coordinates of a linear part A: bit i is set when row i
+    and column i of A are both e_i, so that A = A_K + I_F on the kept
+    coordinates K and the free ones F."""
     used = 0
-    for i, row in enumerate(run[0].rep.a.row_bits):
+    for i, row in enumerate(a.row_bits):
         if row != 1 << i:
             used |= row | 1 << i
-    for cell in run:
-        used |= cell.rep.b.bits
-    return (1 << run[0].rep.n) - 1 & ~used
+    return (1 << a.rows) - 1 & ~used
 
 
-def _squeeze(bits: int, kept: list[int]) -> int:
-    """bits with only the positions in kept, renumbered from 0."""
-    return sum(((bits >> i) & 1) << j for j, i in enumerate(kept))
+def _run_rows(n: int, run: list[ConjCell]) -> int:
+    """The rows a run feeds to elimination, as the peel of
+    _pair_partial_sums leaves its cells: 2^m for a cell on m = n - |F|
+    variables, twice that for one that keeps a free coordinate."""
+    free = _free_mask(run[0].rep.a)
+    m = n - free.bit_count()
+    return sum((2 if c.rep.b.bits & free else 1) << m for c in run)
+
+
+def _squeeze(bits: int, keep: int) -> int:
+    """bits with only the positions set in the mask keep, renumbered
+    from 0: bit i goes to the number of kept positions below i."""
+    bits &= keep
+    out = 0
+    while bits:
+        t = bits & -bits
+        out |= 1 << (keep & t - 1).bit_count()
+        bits ^= t
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -129,36 +149,63 @@ def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
     """Size-weighted fixed-point sums of a slice of cells, one per pair.
 
     The slice is taken run by run (maximal blocks of consecutive cells with
-    equal linear parts). A run's free coordinates, those that every cell
-    of the run leaves alone (_run_free_mask), are deleted once, which leaves
-    each cell as an element on m = n - r variables. Each cell makes one
-    fixed_space_log2 call on its reduced windows, whose single elimination
-    serves every one of them, and the n-variable fixdims are their
-    convolution (_peel_plan). The images are built once per run, for
-    its reduced zero coset (A1, 0), and every cell (A1, b) with b != 0
-    derives its own from them (translated_images), whatever the order of
-    the run's cells or the bits of their translations."""
+    equal linear parts A). With F the free coordinates of A (_free_mask),
+    A = A_K + I_F, and each cell is peeled on its own:
+    - a cell (A, b) with no bit of b in F leaves every x_i, i in F, alone;
+      it peels all of F and is reduced to (A_K, b_K) on m = n - |F|
+      variables;
+    - a cell whose b touches F is conjugate to (A, b_K + e_y) for any y in
+      F, by a map that is linear on F, fixes K and commutes with A. It
+      keeps y as its affine coordinate, put on top, peels the other
+      |F| - 1 and is reduced to (A_K + 1, b_K + e_y) on m + 1 variables,
+      however many bits of F b has.
+    Each cell makes one fixed_space_log2 call on the reduced windows of
+    its peel, whose single elimination serves every one of them, and the
+    n-variable fixdims are their convolution (_peel_plan). The images are
+    built once per run, for (A_K, 0) on m variables. The cells that keep
+    y read them extended by one variable (extended_images: image(u + y)
+    is image(u) shifted by 2^m bits), and every cell with a translation
+    derives its own from the base or the extension (translated_images),
+    whatever the order of the run's cells."""
     sums = [0] * len(pairs)
     for _, run in groupby(cells, key=lambda c: c.rep.a):
         run = list(run)
-        free = _run_free_mask(run)
+        a = run[0].rep.a
+        free = _free_mask(a)
+        keep = (1 << n) - 1 & ~free
         r = free.bit_count()
         m = n - r
-        windows, k0, top, terms = _peel_plan(n, r, pairs)
-        a = run[0].rep.a
+        plan = _peel_plan(n, r, pairs)
+        _, k0, top, _ = plan
         if r:
-            kept = [i for i in range(n) if not free >> i & 1]
-            a = BitMatrix(m, m, tuple(_squeeze(a.row_bits[i], kept)
-                                      for i in kept))
+            a = BitMatrix(m, m, tuple(_squeeze(row, keep)
+                                      for i, row in enumerate(a.row_bits)
+                                      if keep >> i & 1))
+        # the cells that keep y peel one coordinate fewer, which moves
+        # their windows up at most a degree, so a base built for the full
+        # peel also serves their extension
         base = monomial_images(AffineElement(m, a, BitVector(m, 0)), top, k0)
+        if any(c.rep.b.bits & free for c in run):
+            kept_plan = _peel_plan(n, r - 1, pairs)
+            extended = extended_images(base, m, kept_plan[2], kept_plan[1])
         for cell in run:
-            b = _squeeze(cell.rep.b.bits, kept) if r else cell.rep.b.bits
-            images = translated_images(base, m, b, top, k0) if b else base
-            fixdims = fixed_space_log2(images, m, windows)
-            if r:
-                fixdims = [sum(c * fixdims[w] for c, w in row)
-                           for row in terms]
-            for i, fixdim in enumerate(fixdims):
+            b = cell.rep.b.bits
+            if b & free:
+                # y is the top variable, bit m of the reduced translation
+                rc, images = r - 1, extended
+                windows, k, s, terms = kept_plan
+                b = _squeeze(b, keep) | 1 << m
+            else:
+                rc, images = r, base
+                windows, k, s, terms = plan
+                b = _squeeze(b, keep)
+            if b:
+                images = translated_images(images, n - rc, b, s, k)
+            fixdims = fixed_space_log2(images, n - rc, windows)
+            for i, row in enumerate(terms):
+                fixdim = 0
+                for c, w in row:
+                    fixdim += c * fixdims[w]
                 sums[i] += cell.size << fixdim
     return sums
 
@@ -171,14 +218,16 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     result carries the elapsed time of the whole sweep, which starts once
     the cells are built and checked.
 
-    Each run of cells with equal linear parts is eliminated without the
-    coordinates that all its cells leave alone, and its images are built
-    once, for its zero coset (A, 0): every cell (A, b) of the run derives
-    its own from them, whatever its translation. With threads > 1 the
-    runs are dealt whole to at most min(threads, runs, CPUs) worker
-    processes. A run of c cells on m = n - r variables weighs c * 2^m
-    rows; the heaviest run goes first, each to the worker with the fewest
-    rows so far. A serial count never imports the process pool.
+    Each cell is eliminated without the free coordinates of its linear
+    part A, all of them or all but one kept as its affine coordinate (see
+    _pair_partial_sums), and the images of each run of cells with equal
+    linear parts are built once, for (A, 0) so reduced: every cell (A, b)
+    of the run derives its own from them, whatever its translation. With
+    threads > 1 the runs are dealt whole to at most min(threads, runs,
+    CPUs) worker processes. A run weighs the 2^m rows of each of its cells
+    on m variables after the peel (_run_rows); the heaviest run goes
+    first, each to the worker with the fewest rows so far. A serial count
+    never imports the process pool.
 
     Given cells must partition AGL(n,2), and every member of a cell must fix
     the same number of vectors as its representative in every window, as
@@ -216,8 +265,7 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
         # rows so far
         slices = [[] for _ in range(workers)]
         rows = [0] * workers
-        weighed = [(len(run) << (n - _run_free_mask(run).bit_count()), run)
-                   for run in runs]
+        weighed = [(_run_rows(n, run), run) for run in runs]
         for weight, run in sorted(weighed, key=lambda wr: -wr[0]):
             w = rows.index(min(rows))
             slices[w].extend(run)

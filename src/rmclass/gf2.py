@@ -155,43 +155,52 @@ def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
 
 
 def rank_of_rows(rows: Iterable[int],
-                 pivots: dict[int, int] | None = None,
-                 bands: Sequence[int] = (-1,)) -> int:
+                 pivots: list[int] | None = None,
+                 bands: Sequence[int] = (-1,),
+                 grown: list[int] | None = None) -> int:
     """Rank of a set of bit-packed rows. Consumes nothing; rows are ints.
 
     This is the one elimination loop of the package: each row is reduced by
     the pivot rows and, if anything is left, kept as a new pivot. Given a
-    pivot dict {pivot bit: row}, it extends that dict in place and returns
-    how much the rank grew, so an echelon form can be built up one batch of
-    rows at a time.
+    pivot list (entry b = the row whose pivot is bit b, 0 for none, one
+    entry per bit a pivot can take), it extends that list in place and
+    returns how much the rank grew, so an echelon form can be built up one
+    batch of rows at a time. Without one, a list as wide as the widest row
+    is used and dropped.
 
     bands are disjoint bit masks, most significant first; bits outside
     every band are ignored. A row's pivot is its highest set bit in the
     first band it meets, and a row with nothing left inside the bands adds
     no rank; the default, one band of all bits, makes the pivot the
-    highest set bit. A pivot dict must be extended with the same
-    band order each time (a prefix may be dropped where no row reaches it)."""
+    highest set bit. A pivot list must be extended with the same band
+    order each time (a prefix may be dropped where no row reaches it).
+    Given grown, a list as long as bands, grown[j] is raised by one for
+    each new pivot in band j."""
     if pivots is None:
-        pivots = {}
+        rows = list(rows)
+        pivots = [0] * max((row.bit_length() for row in rows), default=0)
     r = 0
     for row in rows:
         for band in bands:
             part = row & band
             while part:
-                p = pivots.get(part.bit_length() - 1)
-                if p is None:
+                bit = part.bit_length() - 1
+                p = pivots[bit]
+                if not p:
                     break
                 row ^= p
                 part = row & band
             if part:
-                pivots[part.bit_length() - 1] = row
+                pivots[bit] = row
                 r += 1
+                if grown is not None:
+                    grown[bands.index(band)] += 1
                 break
     return r
 
 
 def rank(m: BitMatrix) -> int:
-    return rank_of_rows(m.row_bits)
+    return rank_of_rows(m.row_bits, [0] * m.cols)
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
@@ -200,7 +209,8 @@ def inverse(m: BitMatrix) -> BitMatrix:
     if not m.is_square():
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    rows = _rref_rows([(r << n) | (1 << i) for i, r in enumerate(m.row_bits)])
+    rows = _rref_rows([(r << n) | (1 << i) for i, r in enumerate(m.row_bits)],
+                      2 * n)
     # one row per pivot, pivots descending; a pivot in the low half means
     # m has a zero combination of rows
     if any(r >> n == 0 for r in rows):
@@ -209,15 +219,16 @@ def inverse(m: BitMatrix) -> BitMatrix:
     return BitMatrix(n, n, tuple(r & low for r in reversed(rows)))
 
 
-def _rref_rows(rows: list[int]) -> list[int]:
-    """Reduced row echelon form of bit-packed rows (pivot = highest set bit),
-    returned sorted by pivot descending. Deterministic for any input order."""
-    pivots: dict[int, int] = {}
+def _rref_rows(rows: list[int], width: int) -> list[int]:
+    """Reduced row echelon form of bit-packed rows of the given width
+    (pivot = highest set bit), returned sorted by pivot descending.
+    Deterministic for any input order."""
+    pivots = [0] * width
     rank_of_rows(rows, pivots)
-    # clear above-pivot bits
-    for b in sorted(pivots):
-        row = pivots[b]
-        for b2 in pivots:
-            if b2 > b and (pivots[b2] >> b) & 1:
-                pivots[b2] ^= row
-    return [pivots[b] for b in sorted(pivots, reverse=True)]
+    # clear above-pivot bits, from the lowest pivot up
+    for b, row in enumerate(pivots):
+        if row:
+            for b2 in range(b + 1, width):
+                if (pivots[b2] >> b) & 1:
+                    pivots[b2] ^= row
+    return [row for row in reversed(pivots) if row]

@@ -98,6 +98,26 @@ def translated_images(base: list[int], n: int, b: int,
     return images
 
 
+def extended_images(base: list[int], n: int,
+                    max_degree: int | None = None, k: int = -1) -> list[int]:
+    """The images of (A + 1, 0) on n + 1 variables, the new variable y on
+    top, from the images base of (A, 0) on n: y maps to itself, so
+    image(u) is unchanged for u without y and image(u + y) = image(u) x_y,
+    which moves every term t of image(u) to t + y, a shift by 2^n bits.
+    Only the masks with y that windows within (k, max_degree] on n + 1
+    variables read are written (_image_masks). base must hold image(u)
+    exactly for every u < 2^n those windows read or make an entry from,
+    as a build on n variables with min(max_degree, n) or more and
+    max(k - 1, -1) or less does."""
+    if max_degree is None:
+        max_degree = n + 1
+    y = 1 << n
+    images = base + [0] * y
+    for u in _image_masks_with(n + 1, max_degree, k, y):
+        images[u] = base[u ^ y] << y
+    return images
+
+
 @functools.lru_cache(maxsize=None)
 def _image_masks(n: int, top: int, k: int) -> tuple[int, ...]:
     """The masks u != 0 whose images a window (k, top] needs, increasing.
@@ -156,21 +176,23 @@ def fixed_space_log2(images: list[int], n: int,
     degrees up to s are in, rank(tau xor I on (k', s]) is the number of
     pivots of degree in (k', s], for every k' in the pairs. Rows are kept
     in monomial-mask positions, not the canonical order: the same
-    permutation of rows and columns preserves rank."""
+    permutation of rows and columns preserves rank. The pivots are one
+    list indexed by monomial mask, extended degree by degree, and
+    rank_of_rows counts the new pivots of each degree band in grown."""
     k0, top, windows = _window_plan(n, tuple((k, s) for k, s in pairs))
-    pivots: dict[int, int] = {}  # pivot bit -> row
+    pivots = [0] * (1 << n)  # entry u = the row whose pivot is monomial u
     per_degree = [0] * (n + 1)
     # above[s][j] = pivots of degree >= j once the rows of degree s were in
     above = {}
     bands = _degree_bands(n)
     for i in range(k0 + 1, top + 1):
-        # terms of degree <= k0 lie in no band: rank_of_rows ignores them
-        grown = rank_of_rows(
-            [images[u] ^ (1 << u) for u in _masks_by_degree(n)[i]],
-            pivots, bands[n - i:n - k0])
-        # new pivots are the last ones inserted into the dict
-        for bit in itertools.islice(reversed(pivots), grown):
-            per_degree[bit.bit_count()] += 1
+        # terms of degree <= k0 lie in no band: rank_of_rows ignores them.
+        # Band j is degree i - j, so grown[j] counts its new pivots
+        grown = [0] * (i - k0)
+        rank_of_rows([images[u] ^ (1 << u) for u in _masks_by_degree(n)[i]],
+                     pivots, bands[n - i:n - k0], grown)
+        for j, new in enumerate(grown):
+            per_degree[i - j] += new
         above[i] = list(itertools.accumulate(reversed(per_degree)))[::-1]
     return [d - above[s][k + 1] for s, k, d in windows]
 

@@ -53,10 +53,9 @@ def solve_commutant(a: BitMatrix) -> list[BitMatrix]:
                 if (a.row_bits[r] >> i) & 1:
                     image ^= 1 << (r * n + j)
             rows.append((image << size) | (1 << (i * n + j)))
-    pivots = {}
+    pivots = [0] * (2 * size)
     rank_of_rows(rows, pivots)
-    return [BitMatrix(n, n, _rows(row, n))
-            for bit, row in sorted(pivots.items()) if bit < size]
+    return [BitMatrix(n, n, _rows(row, n)) for row in pivots[:size] if row]
 
 
 def commutant_units(a: BitMatrix, rng: random.Random,
@@ -90,9 +89,9 @@ def coset_reducer(a: BitMatrix):
     bit above its pivot, so clearing pivots from the highest down never
     sets one already cleared."""
     m = a ^ identity(a.rows)
-    pivots = {}
-    rank_of_rows((m.column(j).bits for j in range(m.cols)), pivots)
-    im_rows = [pivots[bit] for bit in sorted(pivots, reverse=True)]
+    pivots = [0] * m.rows
+    rank_of_rows([m.column(j).bits for j in range(m.cols)], pivots)
+    im_rows = [row for row in reversed(pivots) if row]
 
     def reduce(b: int) -> int:
         for row in im_rows:

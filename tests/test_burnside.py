@@ -243,24 +243,31 @@ def runs(cells):
             itertools.groupby(cells, key=lambda c: c.rep.a)]
 
 
-def free_coordinates(run):
-    """The coordinates i that every cell of a run leaves alone: row i and
-    column i of A are e_i, and b_i = 0 in every cell."""
-    a = run[0].rep.a
+def free_coordinates(a):
+    """The free coordinates of a linear part A: row i and column i of A
+    are e_i."""
     return [i for i in range(a.rows)
-            if a.row(i).bits == 1 << i and a.column(i).bits == 1 << i
-            and not any(c.rep.b[i] for c in run)]
+            if a.row(i).bits == 1 << i and a.column(i).bits == 1 << i]
 
 
 def reduced_zero_coset(run):
-    """(A, 0) of a run with its free coordinates deleted."""
-    free = free_coordinates(run)
+    """(A_K, 0): the linear part of a run with its own free coordinates
+    deleted, whatever the translations of the run's cells."""
     a = run[0].rep.a
+    free = free_coordinates(a)
     kept = [i for i in range(a.rows) if i not in free]
     m = len(kept)
     rows = tuple(sum(a.row(i)[j] << t for t, j in enumerate(kept))
                  for i in kept)
     return AffineElement(m, BitMatrix(m, m, rows), BitVector(m, 0))
+
+
+def peeled_variables(g):
+    """The variables g is eliminated on: n less the free coordinates of
+    its A, plus one kept as the affine coordinate when b has a bit in
+    them."""
+    free = free_coordinates(g.a)
+    return g.n - len(free) + any(g.b[i] for i in free)
 
 
 def test_pair_partial_sums_reuse_imported_linear_parts(monkeypatch, tmp_path):
@@ -350,8 +357,8 @@ def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
     # each run of cells with one linear part goes whole to one slice, and
-    # only its zero coset (A, 0), reduced by the run's free coordinates,
-    # builds images; the fiber cells derive theirs
+    # only (A, 0), reduced by the free coordinates of A, builds images;
+    # every cell of the run derives its own from them
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     built, slices = [], []
@@ -380,11 +387,11 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         dealt = [run for part in slices for run in runs(part)]
         assert sorted(dealt, key=str) == sorted(runs(cells), key=str)
         if threads == 2:
-            # a run of c cells on m variables after the peel weighs c * 2^m
-            # rows; from the heaviest run down, each goes to a slice with
-            # the fewest rows so far
+            # a run weighs the 2^m rows of each of its cells on m variables
+            # after the peel; from the heaviest run down, each goes to a
+            # slice with the fewest rows so far
             def weight(run):
-                return len(run) << reduced_zero_coset(run).n
+                return sum(1 << peeled_variables(c.rep) for c in run)
 
             owner = {str(run[0].rep): w for w, part in enumerate(slices)
                      for run in runs(part)}
@@ -515,7 +522,7 @@ def test_peeled_fixdims_equal_direct_elimination(n):
     peeled = 0
     for cells in (rational_cells(n), affine_cells(n)):
         for cell in cells:
-            if not free_coordinates([cell]):
+            if not free_coordinates(cell.rep.a):
                 continue
             peeled += 1
             direct = fixed_space_log2(monomial_images(cell.rep), n, pairs)
@@ -525,11 +532,46 @@ def test_peeled_fixdims_equal_direct_elimination(n):
     assert peeled > 0
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cells_that_keep_a_free_coordinate(n):
+    # a cell whose b touches the free coordinates F of A keeps one of them
+    # on top as its affine coordinate, reading the run's images extended
+    # by one variable and translated: b on one, two or all of F, with and
+    # without bits on the other coordinates, for every GL class rep with
+    # F nonempty, against the unreduced element's own elimination and,
+    # for n <= 5, the point-permutation oracle
+    pairs = tuple(all_pairs(n))
+    rng = random.Random(n)
+    tried = 0
+    for cls in gl_classes(n):
+        a = cls.rep
+        free = free_coordinates(a)
+        if not free:
+            continue
+        kept = sum(1 << i for i in range(n) if i not in free)
+        touches = {1 << free[0], 1 << free[-1], sum(1 << i for i in free)}
+        if len(free) > 1:
+            touches.add(1 << free[0] | 1 << free[1])
+        for on_free in touches:
+            for rest in {0, kept, kept & rng.randrange(1 << n)}:
+                g = AffineElement(n, a, BitVector(n, on_free | rest))
+                assert peeled_variables(g) == n - len(free) + 1
+                want = fixed_space_log2(monomial_images(g), n, pairs)
+                if n <= 5:
+                    assert point_fixdims(g, pairs) == want, str(g)
+                assert burnside._pair_partial_sums(
+                    n, pairs, [ConjCell(g, 1)]) == \
+                    [1 << fixdim for fixdim in want], str(g)
+                tried += 1
+    assert tried > 0
+
+
 def test_free_coordinates_peel_to_smaller_cells():
     # the rational cells with r free coordinates number as many as the
     # cells without any at n - r (with one, the identity, at n = 0), so
     # cells(n) = sum over m <= n of r0(m)
-    per_r = {n: collections.Counter(len(free_coordinates([c]))
+    per_r = {n: collections.Counter(sum(not c.rep.b[i]
+                                        for i in free_coordinates(c.rep.a))
                                     for c in rational_cells(n))
              for n in range(1, 11)}
     r0 = {0: 1, **{n: per_r[n][0] for n in per_r}}

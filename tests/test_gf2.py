@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import TAU_ROWS_UNREACHABLE, all_matrices
+from helpers_oracle import gf2_rank
 from helpers_orbits import solve_commutant
 from rmclass.gf2 import (
     BitMatrix,
@@ -97,13 +98,14 @@ def test_rank_of_rows_extends_pivots_in_place():
     for _ in range(30):
         rows = [rng.randrange(1 << 12) for _ in range(rng.randrange(1, 16))]
         cut = rng.randrange(len(rows) + 1)
-        pivots = {}
+        pivots = [0] * 12
         first = rank_of_rows(rows[:cut], pivots)
-        assert first == rank_of_rows(rows[:cut]) == len(pivots)
+        assert first == rank_of_rows(rows[:cut]) == 12 - pivots.count(0)
         grown = rank_of_rows(rows[cut:], pivots)
-        # the return value is the growth, the dict holds the whole echelon
-        assert first + grown == rank_of_rows(rows) == len(pivots)
-        assert all(row.bit_length() - 1 == b for b, row in pivots.items())
+        # the return value is the growth, the list holds the whole echelon
+        assert first + grown == rank_of_rows(rows) == 12 - pivots.count(0)
+        assert all(row.bit_length() - 1 == b
+                   for b, row in enumerate(pivots) if row)
         assert rank_of_rows(rows, pivots) == 0
 
 
@@ -113,18 +115,62 @@ def test_rank_of_rows_bands_pick_pivot_in_first_band():
     bands = (0b100100100100, 0b010010010010, 0b001001001001)
     for _ in range(30):
         rows = [rng.randrange(1 << 12) for _ in range(rng.randrange(1, 16))]
-        pivots = {}
+        pivots = [0] * 12
         assert rank_of_rows(rows, pivots, bands) == rank_of_rows(rows)
-        for b, row in pivots.items():
-            first = next(band for band in bands if row & band)
-            assert (row & first).bit_length() - 1 == b
+        for b, row in enumerate(pivots):
+            if row:
+                first = next(band for band in bands if row & band)
+                assert (row & first).bit_length() - 1 == b
         # bits outside every band are ignored
         above = [row | rng.randrange(1 << 4) << 12 for row in rows]
-        assert rank_of_rows(above, {}, bands) == rank_of_rows(rows)
+        assert rank_of_rows(above, [0] * 12, bands) == rank_of_rows(rows)
     # a row with nothing inside the bands adds no rank
-    pivots = {}
+    pivots = [0] * 12
     assert rank_of_rows([0b101 << 12], pivots, bands) == 0
-    assert pivots == {}
+    assert pivots == [0] * 12
+
+
+def test_rank_of_rows_list_contract():
+    # batches of random rows through one pivot list, banded as
+    # fixed_space_log2 bands its rows: the per-band counts add up to the
+    # rank growth, every pivot row sits at its own pivot bit, the highest
+    # of the first band it meets, and the rank is the oracle's
+    rng = random.Random(19)
+    width = 16
+    bands = tuple(sum(1 << b for b in range(width) if b % 4 == j)
+                  for j in (3, 1, 2, 0))
+    for _ in range(40):
+        pivots = [0] * width
+        seen = []
+        total = 0
+        for _ in range(rng.randrange(1, 5)):
+            rows = [rng.randrange(1 << width)
+                    for _ in range(rng.randrange(9))]
+            seen += rows
+            before = pivots.copy()
+            grown = [0] * len(bands)
+            got = rank_of_rows(rows, pivots, bands, grown)
+            # pivots once set stay; grown[j] counts the new ones in band j
+            assert all(p == q for p, q in zip(before, pivots) if p)
+            assert grown == [sum(1 for b in range(width) if pivots[b]
+                                 and not before[b] and band >> b & 1)
+                             for band in bands]
+            assert sum(grown) == got
+            total += got
+            assert total == width - pivots.count(0) == gf2_rank(seen)
+        per_band = [0] * len(bands)
+        for b, row in enumerate(pivots):
+            if row:
+                j = next(j for j, band in enumerate(bands) if row & band)
+                assert (row & bands[j]).bit_length() - 1 == b
+                per_band[j] += 1
+        assert sum(per_band) == total
+    # one band of all bits, as rank and inverse use it
+    for _ in range(40):
+        rows = [rng.randrange(1 << width) for _ in range(rng.randrange(20))]
+        grown = [0]
+        assert rank_of_rows(rows, [0] * width, (-1,), grown) == \
+            grown[0] == gf2_rank(rows) == rank_of_rows(rows)
 
 
 def test_mat_mul_identity_and_square():
@@ -173,6 +219,25 @@ def test_inverse_random_roundtrip():
             continue
         assert mat_mul(m, inverse(m)) == identity(6)
         assert mat_mul(inverse(m), m) == identity(6)
+        done += 1
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_inverse_and_rank_through_list_pivots(n):
+    # rank and inverse size their pivot lists by the row width: random
+    # matrices of every width up to n = 10, the rank against the oracle
+    # and every invertible one round-tripped
+    rng = random.Random(23 + n)
+    done = 0
+    while done < 20:
+        m = random_matrix(n, rng)
+        assert rank(m) == gf2_rank(m.row_bits)
+        if rank(m) < n:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+            continue
+        assert mat_mul(m, inverse(m)) == identity(n)
+        assert mat_mul(inverse(m), m) == identity(n)
         done += 1
 
 
