@@ -3,9 +3,8 @@
 For each cell (one representative g, exact size) the number of coefficient
 vectors fixed by g is 2^(d - rank(tau_g xor I)); the class count is the
 size-weighted sum over cells divided by |AGL(n,2)|. The rank is taken
-without the free coordinates of g's linear part, all of them or all but
-one (see _pair_partial_sums). The
-canonical cells are the rational cells of conjclasses, unions of the
+with the free coordinates of g's linear part peeled (_pair_partial_sums).
+The canonical cells are the rational cells of conjclasses, unions of the
 conjugacy classes of the generators of one cyclic subgroup. Everything is
 exact integer arithmetic; a nonzero remainder in the final division means
 the cell decomposition is broken and raises instead of rounding.
@@ -30,12 +29,7 @@ from .conjclasses import (
 )
 from .gf2 import BitMatrix, BitVector
 from .group import AffineElement, group_orders
-from .linrep import (
-    extended_images,
-    fixed_space_log2,
-    monomial_images,
-    translated_images,
-)
+from .linrep import fixed_space_log2, monomial_images, translated_images
 
 PROVIDERS = ("exhaustive", "canonical", "import")
 
@@ -162,11 +156,12 @@ def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
     Each cell makes one fixed_space_log2 call on the reduced windows of
     its peel, whose single elimination serves every one of them, and the
     n-variable fixdims are their convolution (_peel_plan). The images are
-    built once per run, for (A_K, 0) on m variables. The cells that keep
-    y read them extended by one variable (extended_images: image(u + y)
-    is image(u) shifted by 2^m bits), and every cell with a translation
-    derives its own from the base or the extension (translated_images),
-    whatever the order of the run's cells."""
+    built once per run, for (A_K, 0) on m variables, and every cell with a
+    reduced translation derives its own from them (translated_images),
+    whatever the order of the run's cells; a kept y is bit m of that
+    translation. Such a cell peels one coordinate fewer, which moves its
+    windows up at most a degree, so the build for the full peel serves it
+    too."""
     sums = [0] * len(pairs)
     for _, run in groupby(cells, key=lambda c: c.rep.a):
         run = list(run)
@@ -175,32 +170,19 @@ def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
         keep = (1 << n) - 1 & ~free
         r = free.bit_count()
         m = n - r
-        plan = _peel_plan(n, r, pairs)
-        _, k0, top, _ = plan
+        _, k0, top, _ = _peel_plan(n, r, pairs)
         if r:
             a = BitMatrix(m, m, tuple(_squeeze(row, keep)
                                       for i, row in enumerate(a.row_bits)
                                       if keep >> i & 1))
-        # the cells that keep y peel one coordinate fewer, which moves
-        # their windows up at most a degree, so a base built for the full
-        # peel also serves their extension
         base = monomial_images(AffineElement(m, a, BitVector(m, 0)), top, k0)
-        if any(c.rep.b.bits & free for c in run):
-            kept_plan = _peel_plan(n, r - 1, pairs)
-            extended = extended_images(base, m, kept_plan[2], kept_plan[1])
         for cell in run:
             b = cell.rep.b.bits
-            if b & free:
-                # y is the top variable, bit m of the reduced translation
-                rc, images = r - 1, extended
-                windows, k, s, terms = kept_plan
-                b = _squeeze(b, keep) | 1 << m
-            else:
-                rc, images = r, base
-                windows, k, s, terms = plan
-                b = _squeeze(b, keep)
-            if b:
-                images = translated_images(images, n - rc, b, s, k)
+            rc = r - 1 if b & free else r
+            windows, k, s, terms = _peel_plan(n, rc, pairs)
+            # a kept y is the top variable, bit m of the reduced translation
+            b = _squeeze(b, keep) | (r - rc) << m
+            images = translated_images(base, m, b, s, k) if b else base
             fixdims = fixed_space_log2(images, n - rc, windows)
             for i, row in enumerate(terms):
                 fixdim = 0
@@ -214,15 +196,12 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
                 threads: int = 1, file=None,
                 cells=None) -> dict[tuple[int, int], CountResult]:
     """Counts for several (k, s) pairs in one sweep, sharing the cell list
-    and the per-cell monomial images. Returns {(k, s): CountResult}; each
+    and the per-run monomial images. Returns {(k, s): CountResult}; each
     result carries the elapsed time of the whole sweep, which starts once
     the cells are built and checked.
 
-    Each cell is eliminated without the free coordinates of its linear
-    part A, all of them or all but one kept as its affine coordinate (see
-    _pair_partial_sums), and the images of each run of cells with equal
-    linear parts are built once, for (A, 0) so reduced: every cell (A, b)
-    of the run derives its own from them, whatever its translation. With
+    Each cell is peeled and each run of cells with equal linear parts
+    builds its images once, as _pair_partial_sums describes. With
     threads > 1 the runs are dealt whole to at most min(threads, runs,
     CPUs) worker processes. A run weighs the 2^m rows of each of its cells
     on m variables after the peel (_run_rows); the heaviest run goes

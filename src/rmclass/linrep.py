@@ -13,7 +13,6 @@ simultaneous row/column permutation), see fixed_space_log2.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,44 +76,39 @@ def monomial_images(g: AffineElement, max_degree: int | None = None,
 def translated_images(base: list[int], n: int, b: int,
                       max_degree: int | None = None, k: int = -1) -> list[int]:
     """The images of (A, b) for any translation b, from the images base of
-    (A, 0) built with the same max_degree and k. Translating by one more
-    bit t gives only the affine form of that variable the constant 1, so
-    for u containing t, image(u) gains image(u - t), which does not
-    contain t; one in-place pass per set bit of b, in any order, makes
-    m_u(Ax xor b) = sum over S within u & b of image_0(u - S). The entries
-    that windows within (k, max_degree] read are exact above degree k
-    after every pass: an entry u - t that the pruning left at 0 would have
-    only terms of degree <= k (see _image_masks)."""
-    if b >> n:
+    (A, 0) on n variables. Translating by one more bit t gives only the
+    affine form of that variable the constant 1, so for u containing t,
+    image(u) gains image(u - t), which does not contain t; one in-place
+    pass per set bit of b, in any order, makes m_u(Ax xor b) = sum over S
+    within u & b of image_0(u - S).
+
+    Bit n of b means one more variable y, on top, that A leaves alone: the
+    element is (A + 1, b) on n + 1 variables. Then image(u) is unchanged
+    for u without y and image(u + y) = image(u) x_y, which moves every
+    term of image(u) up by 2^n bits; those entries are written first, and
+    the pass for y follows as for any other bit.
+
+    The entries that windows within (k, max_degree] read are exact above
+    degree k after every pass: an entry u - t that the pruning left at 0
+    would have only terms of degree <= k (see _image_masks). So base must
+    hold image(u) exactly for every u < 2^n those windows read or make an
+    entry from: a build with the same max_degree and k does, and with bit
+    n set so does one with min(max_degree, n) or more and max(k - 1, -1)
+    or less."""
+    if b < 0 or b >> n > 1:
         raise ValueError(f"translation {b:#x} is out of range for n={n}")
+    y = b & 1 << n  # the extra variable, or 0 for none
+    n += b >> n
     if max_degree is None:
         max_degree = n
-    images = base.copy()
+    images = base + [0] * y
+    for u in _image_masks_with(n, max_degree, k, y):
+        images[u] = base[u ^ y] << y
     while b:
         t = b & -b
         b ^= t
         for u in _image_masks_with(n, max_degree, k, t):
             images[u] ^= images[u ^ t]
-    return images
-
-
-def extended_images(base: list[int], n: int,
-                    max_degree: int | None = None, k: int = -1) -> list[int]:
-    """The images of (A + 1, 0) on n + 1 variables, the new variable y on
-    top, from the images base of (A, 0) on n: y maps to itself, so
-    image(u) is unchanged for u without y and image(u + y) = image(u) x_y,
-    which moves every term t of image(u) to t + y, a shift by 2^n bits.
-    Only the masks with y that windows within (k, max_degree] on n + 1
-    variables read are written (_image_masks). base must hold image(u)
-    exactly for every u < 2^n those windows read or make an entry from,
-    as a build on n variables with min(max_degree, n) or more and
-    max(k - 1, -1) or less does."""
-    if max_degree is None:
-        max_degree = n + 1
-    y = 1 << n
-    images = base + [0] * y
-    for u in _image_masks_with(n + 1, max_degree, k, y):
-        images[u] = base[u ^ y] << y
     return images
 
 
@@ -182,8 +176,8 @@ def fixed_space_log2(images: list[int], n: int,
     k0, top, windows = _window_plan(n, tuple((k, s) for k, s in pairs))
     pivots = [0] * (1 << n)  # entry u = the row whose pivot is monomial u
     per_degree = [0] * (n + 1)
-    # above[s][j] = pivots of degree >= j once the rows of degree s were in
-    above = {}
+    # snap[s][j] = pivots of degree j once the rows of degree s were in
+    snap = {}
     bands = _degree_bands(n)
     for i in range(k0 + 1, top + 1):
         # terms of degree <= k0 lie in no band: rank_of_rows ignores them.
@@ -193,8 +187,8 @@ def fixed_space_log2(images: list[int], n: int,
                      pivots, bands[n - i:n - k0], grown)
         for j, new in enumerate(grown):
             per_degree[i - j] += new
-        above[i] = list(itertools.accumulate(reversed(per_degree)))[::-1]
-    return [d - above[s][k + 1] for s, k, d in windows]
+        snap[i] = per_degree.copy()
+    return [d - sum(snap[s][k + 1:]) for s, k, d in windows]
 
 
 def tau_matrix(g: AffineElement, s: int, k: int) -> TauMatrix:

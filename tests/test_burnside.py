@@ -535,11 +535,11 @@ def test_peeled_fixdims_equal_direct_elimination(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cells_that_keep_a_free_coordinate(n):
     # a cell whose b touches the free coordinates F of A keeps one of them
-    # on top as its affine coordinate, reading the run's images extended
-    # by one variable and translated: b on one, two or all of F, with and
-    # without bits on the other coordinates, for every GL class rep with
-    # F nonempty, against the unreduced element's own elimination and,
-    # for n <= 5, the point-permutation oracle
+    # on top as its affine coordinate, bit m of the translation its images
+    # are derived with: b on one, two or all of F, with and without bits
+    # on the other coordinates, for every GL class rep with F nonempty,
+    # against the unreduced element's own elimination and, for n <= 5,
+    # the point-permutation oracle
     pairs = tuple(all_pairs(n))
     rng = random.Random(n)
     tried = 0
@@ -564,6 +564,52 @@ def test_cells_that_keep_a_free_coordinate(n):
                     [1 << fixdim for fixdim in want], str(g)
                 tried += 1
     assert tried > 0
+
+
+def touch_free_coordinates(run):
+    """The cells of a run whose b has a bit on the free coordinates of
+    their A."""
+    free = free_coordinates(run[0].rep.a)
+    return [c for c in run if any(c.rep.b[i] for i in free)]
+
+
+def test_built_runs_hold_at_most_one_cell_that_keeps_a_coordinate():
+    # the free coordinates of A are its 1x1 blocks of x + 1, and only the
+    # t = 1 fiber orbit's representative lies on them: no built run holds
+    # two cells whose b touches them, and every built list has such a run
+    for n in range(1, 11):
+        for cells in (rational_cells(n), affine_cells(n)):
+            touched = [len(touch_free_coordinates(run)) for run in runs(cells)]
+            assert max(touched) == 1, n
+
+
+def test_run_with_several_cells_that_keep_a_coordinate(monkeypatch):
+    # no built list makes such a run: b on each of two free coordinates,
+    # on both, and with and without bits on the others, plus the zero
+    # coset and a cell that peels all of F. Still one build, for (A_K, 0),
+    # and the sums of a build per cell
+    n = 5
+    a = next(c.rep for c in gl_classes(n)
+             if len(free_coordinates(c.rep)) == 2)
+    f0, f1 = free_coordinates(a)
+    kept = [i for i in range(n) if i not in (f0, f1)]
+    assert kept
+    on_k = 1 << kept[0] | 1 << kept[-1]
+    pairs = tuple(all_pairs(n))
+    cells = [ConjCell(AffineElement(n, a, BitVector(n, b)), 1)
+             for b in (1 << f0, 0, 1 << f1 | on_k, 1 << f0 | 1 << f1,
+                       1 << kept[0], 1 << f0 | 1 << kept[-1], 1 << f1)]
+    assert len(touch_free_coordinates(cells)) == 5
+    built = []
+
+    def spy(g, *args, real=burnside.monomial_images):
+        built.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(burnside, "monomial_images", spy)
+    got = burnside._pair_partial_sums(n, pairs, cells)
+    assert built == [reduced_zero_coset(cells)]
+    assert got == fresh_partial_sums(n, pairs, cells)
 
 
 def test_free_coordinates_peel_to_smaller_cells():

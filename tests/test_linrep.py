@@ -314,19 +314,24 @@ def test_translated_images_match_fresh_build(n):
                 read_part(monomial_images(g, s, k), n, s, k), (g, k, s)
 
 
+def sample_elements(seed, per_n):
+    """Every element for n <= 3, then per_n random elements for each
+    n = 4..7 whose translations have two adjacent bits at least."""
+    rng = random.Random(seed)
+    elements = [g for n in range(1, 4) for g in all_elements(n)]
+    for n in range(4, 8):
+        for _ in range(per_n):
+            b = rng.randrange(1 << n) | 0b11 << rng.randrange(n - 1)
+            elements.append(AffineElement(n, random_element(n, rng).a,
+                                          BitVector(n, b)))
+    return elements
+
+
 def test_translated_images_take_any_translation():
     # one pass per bit of b: every element for n <= 3 and random elements
     # with translations of several bits for n = 4..7, against their own
     # build on every entry and on what each pruned window reads
-    rng = random.Random(17)
-    elements = [g for n in range(1, 4) for g in all_elements(n)]
-    for n in range(4, 8):
-        for _ in range(20):
-            # two adjacent bits at least
-            b = rng.randrange(1 << n) | 0b11 << rng.randrange(n - 1)
-            elements.append(AffineElement(n, random_element(n, rng).a,
-                                          BitVector(n, b)))
-    for g in elements:
+    for g in sample_elements(17, 20):
         n = g.n
         zero = AffineElement(n, g.a, BitVector(n, 0))
         b = g.b.bits
@@ -336,7 +341,37 @@ def test_translated_images_take_any_translation():
             got = translated_images(monomial_images(zero, s, k), n, b, s, k)
             assert read_part(got, n, s, k) == \
                 read_part(monomial_images(g, s, k), n, s, k), (g, k, s)
+    # bit n is valid, the extra top variable of the next test; a bit above
+    # it, alone or with bit n, or a negative b is out of range
     images = monomial_images(group_identity(3))
-    for b in (0b1000, 0b1011, -1):
+    for b in (0b10000, 0b11000, 0b10011, -1, -0b1000):
         with pytest.raises(ValueError, match="out of range"):
             translated_images(images, 3, b)
+
+
+def with_top_variable(g):
+    """(A + 1, b + e_y) on n + 1 variables: g with one more variable y, on
+    top, that A leaves alone and the translation flips."""
+    n = g.n
+    a = BitMatrix(n + 1, n + 1, g.a.row_bits + (1 << n,))
+    return AffineElement(n + 1, a, BitVector(n + 1, g.b.bits | 1 << n))
+
+
+def test_translated_images_add_a_top_variable():
+    # bit n of b: every element for n <= 3 and random elements with
+    # translations of several bits for n = 4..7, from the images of (A, 0)
+    # on n variables, against a fresh build of (A + 1, b + e_y) on n + 1:
+    # on every entry unpruned, and on what each window reads when the base
+    # is built with min(s, n) and max(k - 1, -1)
+    for g in sample_elements(23, 12):
+        n = g.n
+        zero = AffineElement(n, g.a, BitVector(n, 0))
+        b = g.b.bits | 1 << n
+        big = with_top_variable(g)
+        assert translated_images(monomial_images(zero), n, b) == \
+            monomial_images(big), g
+        for k, s in all_pairs(n + 1):
+            base = monomial_images(zero, min(s, n), max(k - 1, -1))
+            got = translated_images(base, n, b, s, k)
+            assert read_part(got, n + 1, s, k) == \
+                read_part(monomial_images(big, s, k), n + 1, s, k), (g, k, s)
