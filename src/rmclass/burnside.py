@@ -3,7 +3,7 @@
 For each cell (one representative g, exact size) the number of coefficient
 vectors fixed by g is 2^(d - rank(tau_g xor I)); the class count is the
 size-weighted sum over cells divided by |AGL(n,2)|. The rank is taken
-with the free coordinates of g's linear part peeled (_pair_partial_sums).
+with the free coordinates of g's linear part peeled (_peel_run).
 The canonical cells are the rational cells of conjclasses, unions of the
 conjugacy classes of the generators of one cyclic subgroup. Everything is
 exact integer arithmetic; a nonzero remainder in the final division means
@@ -68,6 +68,9 @@ def fix_count(g: AffineElement, s: int, k: int) -> int:
 def resolve_cells(n: int, provider: str = "canonical", *,
                   file=None) -> list[ConjCell]:
     """Map a provider tag to a validated cell list for n."""
+    if file is not None and provider != "import":
+        raise ValueError(f"cell file {file} is read only by provider "
+                         f"'import', not {provider!r}")
     if provider == "exhaustive":
         return exhaustive_cells(n)
     if provider == "canonical":
@@ -81,26 +84,6 @@ def resolve_cells(n: int, provider: str = "canonical", *,
     raise ValueError(f"unknown provider {provider!r}; expected {PROVIDERS}")
 
 
-def _free_mask(a: BitMatrix) -> int:
-    """The free coordinates of a linear part A: bit i is set when row i
-    and column i of A are both e_i, so that A = A_K + I_F on the kept
-    coordinates K and the free ones F."""
-    used = 0
-    for i, row in enumerate(a.row_bits):
-        if row != 1 << i:
-            used |= row | 1 << i
-    return (1 << a.rows) - 1 & ~used
-
-
-def _run_rows(n: int, run: list[ConjCell]) -> int:
-    """The rows a run feeds to elimination, as the peel of
-    _pair_partial_sums leaves its cells: 2^m for a cell on m = n - |F|
-    variables, twice that for one that keeps a free coordinate."""
-    free = _free_mask(run[0].rep.a)
-    m = n - free.bit_count()
-    return sum((2 if c.rep.b.bits & free else 1) << m for c in run)
-
-
 def _squeeze(bits: int, keep: int) -> int:
     """bits with only the positions set in the mask keep, renumbered
     from 0: bit i goes to the number of kept positions below i."""
@@ -111,6 +94,37 @@ def _squeeze(bits: int, keep: int) -> int:
         out |= 1 << (keep & t - 1).bit_count()
         bits ^= t
     return out
+
+
+def _peel_run(n: int, run: list[ConjCell]):
+    """The one statement of the peel: a run of cells with equal linear
+    parts A, reduced by the free coordinates F of A, the coordinates whose
+    row and column of A are e_i, so that A = A_K + I_F on the kept ones K.
+    - A cell (A, b) with no bit of b in F leaves every x_i, i in F, alone;
+      it peels all of F and is (A_K, b_K) on m = n - |F| variables.
+    - A cell whose b touches F is conjugate to (A, b_K + e_y) for any y in
+      F, by a map that is linear on F, fixes K and commutes with A. It
+      keeps y as its affine coordinate, put on top, peels the other
+      |F| - 1 and is (A_K + 1, b_K + e_y) on m + 1 variables, however
+      many bits of F b has.
+    Returns the run's reduced zero coset (A_K, 0) on m variables, r = |F|,
+    and (size, kept, b) per cell in order: kept is 1 when the cell keeps
+    y, and b is its reduced translation, with y as bit m."""
+    a = run[0].rep.a
+    keep = 0
+    for i, row in enumerate(a.row_bits):
+        if row != 1 << i:
+            keep |= row | 1 << i
+    m = keep.bit_count()
+    rows = tuple(_squeeze(row, keep) for i, row in enumerate(a.row_bits)
+                 if keep >> i & 1)
+    peeled = []
+    for cell in run:
+        b = cell.rep.b.bits
+        kept = 1 if b & ~keep else 0
+        peeled.append((cell.size, kept, _squeeze(b, keep) | kept << m))
+    return (AffineElement(m, BitMatrix(m, m, rows), BitVector(m, 0)),
+            n - m, peeled)
 
 
 @functools.lru_cache(maxsize=256)
@@ -143,20 +157,11 @@ def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
     """Size-weighted fixed-point sums of a slice of cells, one per pair.
 
     The slice is taken run by run (maximal blocks of consecutive cells with
-    equal linear parts A). With F the free coordinates of A (_free_mask),
-    A = A_K + I_F, and each cell is peeled on its own:
-    - a cell (A, b) with no bit of b in F leaves every x_i, i in F, alone;
-      it peels all of F and is reduced to (A_K, b_K) on m = n - |F|
-      variables;
-    - a cell whose b touches F is conjugate to (A, b_K + e_y) for any y in
-      F, by a map that is linear on F, fixes K and commutes with A. It
-      keeps y as its affine coordinate, put on top, peels the other
-      |F| - 1 and is reduced to (A_K + 1, b_K + e_y) on m + 1 variables,
-      however many bits of F b has.
-    Each cell makes one fixed_space_log2 call on the reduced windows of
-    its peel, whose single elimination serves every one of them, and the
+    equal linear parts A), and each run is peeled as _peel_run states. Each
+    cell makes one fixed_space_log2 call on the reduced windows of its
+    peel, whose single elimination serves every one of them, and the
     n-variable fixdims are their convolution (_peel_plan). The images are
-    built once per run, for (A_K, 0) on m variables, and every cell with a
+    built once per run, for the reduced zero coset, and every cell with a
     reduced translation derives its own from them (translated_images),
     whatever the order of the run's cells; a kept y is bit m of that
     translation. Such a cell peels one coordinate fewer, which moves its
@@ -164,31 +169,18 @@ def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
     too."""
     sums = [0] * len(pairs)
     for _, run in groupby(cells, key=lambda c: c.rep.a):
-        run = list(run)
-        a = run[0].rep.a
-        free = _free_mask(a)
-        keep = (1 << n) - 1 & ~free
-        r = free.bit_count()
-        m = n - r
+        zero, r, peeled = _peel_run(n, list(run))
         _, k0, top, _ = _peel_plan(n, r, pairs)
-        if r:
-            a = BitMatrix(m, m, tuple(_squeeze(row, keep)
-                                      for i, row in enumerate(a.row_bits)
-                                      if keep >> i & 1))
-        base = monomial_images(AffineElement(m, a, BitVector(m, 0)), top, k0)
-        for cell in run:
-            b = cell.rep.b.bits
-            rc = r - 1 if b & free else r
-            windows, k, s, terms = _peel_plan(n, rc, pairs)
-            # a kept y is the top variable, bit m of the reduced translation
-            b = _squeeze(b, keep) | (r - rc) << m
-            images = translated_images(base, m, b, s, k) if b else base
-            fixdims = fixed_space_log2(images, n - rc, windows)
+        base = monomial_images(zero, top, k0)
+        for size, kept, b in peeled:
+            windows, k, s, terms = _peel_plan(n, r - kept, pairs)
+            images = translated_images(base, zero.n, b, s, k) if b else base
+            fixdims = fixed_space_log2(images, zero.n + kept, windows)
             for i, row in enumerate(terms):
                 fixdim = 0
                 for c, w in row:
                     fixdim += c * fixdims[w]
-                sums[i] += cell.size << fixdim
+                sums[i] += size << fixdim
     return sums
 
 
@@ -203,10 +195,10 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     Each cell is peeled and each run of cells with equal linear parts
     builds its images once, as _pair_partial_sums describes. With
     threads > 1 the runs are dealt whole to at most min(threads, runs,
-    CPUs) worker processes. A run weighs the 2^m rows of each of its cells
-    on m variables after the peel (_run_rows); the heaviest run goes
-    first, each to the worker with the fewest rows so far. A serial count
-    never imports the process pool.
+    CPUs) worker processes. A run weighs the rows its cells feed to
+    elimination after the peel (_peel_run); the heaviest run goes first,
+    each to the worker with the fewest rows so far. A serial count weighs
+    no run and never imports the process pool.
 
     Given cells must partition AGL(n,2), and every member of a cell must fix
     the same number of vectors as its representative in every window, as
@@ -244,7 +236,11 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
         # rows so far
         slices = [[] for _ in range(workers)]
         rows = [0] * workers
-        weighed = [(_run_rows(n, run), run) for run in runs]
+        weighed = []
+        for run in runs:
+            zero, _, peeled = _peel_run(n, run)
+            weight = sum(1 << (zero.n + kept) for _, kept, _ in peeled)
+            weighed.append((weight, run))
         for weight, run in sorted(weighed, key=lambda wr: -wr[0]):
             w = rows.index(min(rows))
             slices[w].extend(run)

@@ -121,7 +121,8 @@ def cmd_verify(args) -> int:
     for n in sorted({e.n for e in wanted}):
         pairs = sorted({(e.k, e.s) for e in wanted if e.n == n})
         results[n] = count_pairs(n, pairs, args.provider,
-                                 threads=args.threads, cells=cells)
+                                 threads=args.threads, file=args.file,
+                                 cells=cells)
     failures = 0
     for e in sorted(wanted, key=lambda e: e.n):
         got = results[e.n][(e.k, e.s)].count

@@ -150,7 +150,8 @@ def _window_plan(n: int, pairs: tuple[tuple[int, int], ...]):
     bad pair raises, and lru_cache keeps no result for it."""
     for k, s in pairs:
         check_params(n, s, k)
-    return (min(k for k, _ in pairs), max(s for _, s in pairs),
+    return (min((k for k, _ in pairs), default=0),
+            max((s for _, s in pairs), default=0),
             tuple((s, k, space_dimension(n, s, k)) for k, s in pairs))
 
 

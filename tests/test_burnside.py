@@ -250,6 +250,12 @@ def free_coordinates(a):
             if a.row(i).bits == 1 << i and a.column(i).bits == 1 << i]
 
 
+def squeeze(bits, kept):
+    """The bits of bits at the positions kept, renumbered from 0 in that
+    order."""
+    return sum((bits >> j & 1) << t for t, j in enumerate(kept))
+
+
 def reduced_zero_coset(run):
     """(A_K, 0): the linear part of a run with its own free coordinates
     deleted, whatever the translations of the run's cells."""
@@ -257,8 +263,7 @@ def reduced_zero_coset(run):
     free = free_coordinates(a)
     kept = [i for i in range(a.rows) if i not in free]
     m = len(kept)
-    rows = tuple(sum(a.row(i)[j] << t for t, j in enumerate(kept))
-                 for i in kept)
+    rows = tuple(squeeze(a.row(i).bits, kept) for i in kept)
     return AffineElement(m, BitMatrix(m, m, rows), BitVector(m, 0))
 
 
@@ -293,18 +298,24 @@ def test_pair_partial_sums_reuse_imported_linear_parts(monkeypatch, tmp_path):
     assert got == fresh_partial_sums(n, pairs, cells)
 
 
-@pytest.mark.parametrize("n", range(3, 9))
-def test_images_are_built_once_per_run_in_any_order_or_basis(monkeypatch, n):
-    # each run of affine_cells(n) conjugated by its own random linear h,
-    # which spreads the translations over several bits, with its zero
-    # coset moved to the end: still one build per run, for its reduced
-    # (A, 0), and the pinned counts
+def conjugated_cells(n):
+    """affine_cells(n) with each run conjugated by its own random linear
+    h, which spreads the translations over several bits, and its zero
+    coset moved to the end."""
     rng = random.Random(n)
     cells = []
     for run in runs(affine_cells(n)):
         h = AffineElement(n, random_element(n, rng).a, BitVector(n, 0))
         moved = [ConjCell(conjugate(h, c.rep), c.size) for c in run]
         cells += sorted(moved, key=lambda c: not c.rep.b.bits)
+    return cells
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_images_are_built_once_per_run_in_any_order_or_basis(monkeypatch, n):
+    # the conjugated runs still make one build per run, for their reduced
+    # (A, 0), and give the pinned counts
+    cells = conjugated_cells(n)
     assert any(c.rep.b.bits & (c.rep.b.bits - 1) for c in cells)
     built = []
 
@@ -316,6 +327,61 @@ def test_images_are_built_once_per_run_in_any_order_or_basis(monkeypatch, n):
     got = count_pairs(n, all_pairs(n), cells=cells)
     assert built == [reduced_zero_coset(run) for run in runs(cells)]
     assert {p: r.count for p, r in got.items()} == pinned_windows()[n]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_peel_run_matches_the_helpers(n):
+    # the engine's one statement of the peel against the helpers here:
+    # the zero coset, which cells keep y, their reduced translations with
+    # y as bit m, and the rows each feeds to elimination, for the built
+    # lists and for runs conjugated into another basis
+    lists = [rational_cells(n), affine_cells(n)]
+    if n >= 3:
+        lists.append(conjugated_cells(n))
+    kept_any = False
+    for cells in lists:
+        for run in runs(cells):
+            zero, r, peeled = burnside._peel_run(n, list(run))
+            free = free_coordinates(run[0].rep.a)
+            kept = [i for i in range(n) if i not in free]
+            m = len(kept)
+            assert zero == reduced_zero_coset(run), str(run[0].rep)
+            assert (r, zero.n) == (len(free), m)
+            assert len(peeled) == len(run)
+            for cell, (size, keeps, b) in zip(run, peeled):
+                touches = int(any(cell.rep.b[i] for i in free))
+                assert size == cell.size
+                assert keeps == touches, str(cell.rep)
+                assert b == squeeze(cell.rep.b.bits, kept) | touches << m
+                assert 1 << (m + keeps) == 1 << peeled_variables(cell.rep)
+                kept_any |= bool(touches)
+    assert kept_any
+
+
+def reduced_elements(n):
+    """The reduced element of every rational cell at n, as (variables,
+    rows of its linear part, translation): a kept y adds the row e_m."""
+    elements = []
+    for run in runs(rational_cells(n)):
+        zero, _, peeled = burnside._peel_run(n, list(run))
+        m = zero.n
+        for _, kept, b in peeled:
+            elements.append((m + kept, zero.a.row_bits + (1 << m,) * kept, b))
+    return elements
+
+
+def test_reduced_elements_are_distinct_and_nested():
+    # within one n no two rational cells reduce to the same element, and
+    # every element reduced at n - 1 is reduced at n too
+    previous = set()
+    sizes = []
+    for n in range(1, 11):
+        elements = reduced_elements(n)
+        assert len(set(elements)) == len(elements), n
+        assert previous <= set(elements), n
+        previous = set(elements)
+        sizes.append(len(elements))
+    assert sizes == [2, 5, 10, 22, 40, 80, 140, 260, 447, 790]
 
 
 class FakePool:
@@ -455,6 +521,21 @@ def test_resolve_cells_errors():
         resolve_cells(3, "import")
     with pytest.raises(ValueError):
         resolve_cells(3, "mystery")
+
+
+def test_file_is_read_only_by_import(tmp_path):
+    # a cell file given to a computing provider is a usage error, not an
+    # ignored argument
+    path = tmp_path / "cells.txt"
+    export_cells(affine_cells(3), path)
+    for provider in ("canonical", "exhaustive"):
+        match = (f"cells.txt is read only by provider 'import', "
+                 f"not '{provider}'")
+        with pytest.raises(ValueError, match=match):
+            count(3, 3, -1, provider, file=path)
+        with pytest.raises(ValueError, match=match):
+            resolve_cells(3, provider, file=path)
+    assert count(3, 3, -1, "import", file=path).count == 10
 
 
 def test_resolve_cells_import_checks_n(tmp_path):

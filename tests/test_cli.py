@@ -172,6 +172,22 @@ def test_count_import_wrong_n(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_file_is_read_only_by_import(capsys, tmp_path):
+    # --file given to a computing provider exits 2 naming the file and
+    # the provider, before any count or check line is printed; the file
+    # need not exist
+    path = tmp_path / "missing.txt"
+    for provider in ("canonical", "exhaustive"):
+        for command in (("count", "--n", "3", "--s", "3", "--k", "-1"),
+                        ("verify", "--max-n", "3")):
+            assert run_cli(*command, "--provider", provider,
+                           "--file", str(path)) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert str(path) in captured.err
+            assert f"not '{provider}'" in captured.err
+
+
 def test_verify_small(capsys):
     assert run_cli("verify", "--max-n", "4") == 0
     out = capsys.readouterr().out

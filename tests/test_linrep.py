@@ -285,6 +285,13 @@ def test_fixed_space_mixed_pair_order_and_bad_pairs_raise():
             assert fixed_space_log2(images, 3, [(0, 2)]) == want[:1]
 
 
+def test_fixed_space_no_windows():
+    # no pairs give no windows and an empty list, as count_pairs gives {}
+    images = monomial_images(make_example())
+    assert fixed_space_log2(images, 3, []) == []
+    assert fixed_space_log2(images, 3, ()) == []
+
+
 # --- images of a fiber cell from those of its zero coset -----------------
 
 def read_part(images, n, top, k):
