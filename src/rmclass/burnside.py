@@ -194,11 +194,9 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
 
     Each cell is peeled and each run of cells with equal linear parts
     builds its images once, as _pair_partial_sums describes. With
-    threads > 1 the runs are dealt whole to at most min(threads, runs,
-    CPUs) worker processes. A run weighs the rows its cells feed to
-    elimination after the peel (_peel_run); the heaviest run goes first,
-    each to the worker with the fewest rows so far. A serial count weighs
-    no run and never imports the process pool.
+    threads > 1 the runs go to at most min(threads, runs, CPUs) worker
+    processes, whole runs, dealt in turn. A serial count never imports
+    the process pool.
 
     Given cells must partition AGL(n,2), and every member of a cell must fix
     the same number of vectors as its representative in every window, as
@@ -231,20 +229,10 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     # never more processes than runs or CPUs
     workers = min(threads, len(runs), os.cpu_count() or 1)
     if workers > 1:
-        # whole runs, so that each run's images are built in one slice
-        # only; the heaviest run first, each to the slice with the fewest
-        # rows so far
+        # whole runs, so that each run's images are built in one slice only
         slices = [[] for _ in range(workers)]
-        rows = [0] * workers
-        weighed = []
-        for run in runs:
-            zero, _, peeled = _peel_run(n, run)
-            weight = sum(1 << (zero.n + kept) for _, kept, _ in peeled)
-            weighed.append((weight, run))
-        for weight, run in sorted(weighed, key=lambda wr: -wr[0]):
-            w = rows.index(min(rows))
-            slices[w].extend(run)
-            rows[w] += weight
+        for i, run in enumerate(runs):
+            slices[i % workers].extend(run)
         # a value patched onto the module attribute wins over the import
         executor = (globals().get("ProcessPoolExecutor")
                     or __getattr__("ProcessPoolExecutor"))

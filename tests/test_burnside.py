@@ -31,6 +31,7 @@ from rmclass.conjclasses import (
     CellDecompositionError,
     ConjCell,
     affine_cells,
+    exhaustive_cells,
     export_cells,
     gl_classes,
     import_cells,
@@ -171,10 +172,15 @@ def test_canonical_path_builds_no_conjugacy_classes(monkeypatch):
 
 
 def test_count_pairs_threads_agree():
-    serial = count_pairs(4, all_pairs(4))
-    threaded = count_pairs(4, all_pairs(4), threads=2)
-    assert {p: r.count for p, r in serial.items()} == \
-           {p: r.count for p, r in threaded.items()}
+    # the canonical list, and two lists whose runs it never produces: the
+    # exhaustive classes at n = 4 are 25 cells in 25 runs, and one linear
+    # part recurs in two separate runs of them
+    for n, cells in [(4, None), (4, exhaustive_cells(4)),
+                     (5, affine_cells(5)[::-1])]:
+        serial = count_pairs(n, all_pairs(n), cells=cells)
+        threaded = count_pairs(n, all_pairs(n), threads=2, cells=cells)
+        assert {p: r.count for p, r in serial.items()} == \
+               {p: r.count for p, r in threaded.items()}
 
 
 def test_pair_partial_sums_any_pair_order():
@@ -422,12 +428,12 @@ def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
-    # each run of cells with one linear part goes whole to one slice, and
-    # only (A, 0), reduced by the free coordinates of A, builds images;
-    # every cell of the run derives its own from them
+    # each run of cells with one linear part goes whole to one slice, is
+    # peeled there once, and only (A, 0), reduced by the free coordinates
+    # of A, builds images; every cell of the run derives its own from them
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    built, slices = [], []
+    built, slices, peeled = [], [], []
 
     def build_spy(g, *args, real=burnside.monomial_images):
         built.append(g)
@@ -437,11 +443,17 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         slices.append(cells)
         return real(n, pairs, cells)
 
+    def peel_spy(n, run, real=burnside._peel_run):
+        peeled.append(tuple(run))
+        return real(n, run)
+
     monkeypatch.setattr(burnside, "monomial_images", build_spy)
     monkeypatch.setattr(burnside, "_pair_partial_sums", slice_spy)
+    monkeypatch.setattr(burnside, "_peel_run", peel_spy)
     for n in range(3, 9):
         built.clear()
         slices.clear()
+        peeled.clear()
         FakePool.requested = []
         count_pairs(n, all_pairs(n), threads=threads)
         assert FakePool.requested == ([2] if threads == 2 else [])
@@ -449,23 +461,11 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         cells = rational_cells(n)
         zero_cosets = [reduced_zero_coset(run) for run in runs(cells)]
         assert sorted(map(str, built)) == sorted(map(str, zero_cosets))
-        # the runs of the slices are exactly the runs of the whole list
-        dealt = [run for part in slices for run in runs(part)]
-        assert sorted(dealt, key=str) == sorted(runs(cells), key=str)
-        if threads == 2:
-            # a run weighs the 2^m rows of each of its cells on m variables
-            # after the peel; from the heaviest run down, each goes to a
-            # slice with the fewest rows so far
-            def weight(run):
-                return sum(1 << peeled_variables(c.rep) for c in run)
-
-            owner = {str(run[0].rep): w for w, part in enumerate(slices)
-                     for run in runs(part)}
-            loads = [0, 0]
-            for run in sorted(runs(cells), key=weight, reverse=True):
-                w = owner[str(run[0].rep)]
-                assert loads[w] == min(loads)
-                loads[w] += weight(run)
+        assert sorted(peeled, key=str) == sorted(runs(cells), key=str)
+        # run i of the whole list lands in slice i mod threads
+        for w, part in enumerate(slices):
+            assert part == [c for i, run in enumerate(runs(cells))
+                            if i % threads == w for c in run]
 
 
 def test_count_pairs_rejects_threads_below_one():
