@@ -128,130 +128,192 @@ def _peel_run(n: int, run: list[ConjCell]):
 
 
 @functools.lru_cache(maxsize=256)
-def _peel_plan(n: int, r: int, pairs: tuple[tuple[int, int], ...]):
-    """The windows a cell with r free coordinates is eliminated on, as
-    (reduced windows, their smallest k, their largest s, terms per pair).
-    A y-monomial of degree j in the r free variables carries the window
-    shifted by j, so with m = n - r
+def _peel_plan(plans: tuple[tuple[int, int, tuple[tuple[int, int], ...]],
+                            ...]):
+    """The windows one reduced element is eliminated on, for the cells
+    that reduce to it at one or more n, as (windows, their smallest k,
+    their largest s, terms per plan). plans holds one (n, r, pairs) per n:
+    the cells at n peel r free coordinates to the element's m = n - r
+    variables. A y-monomial of degree j in the r free variables carries
+    the window shifted by j, so
         fixdim_n(k, s) = sum_j C(r, j) fixdim_m(max(k - j, -1), min(s - j, m)),
-    and the terms of a pair are its (C(r, j), reduced window index) for
-    the nonempty shifted windows; an empty one adds 0. With r = 0 the
-    reduced windows are the pairs themselves."""
-    m = n - r
+    and the terms of a pair are its (C(r, j), window index) for the
+    nonempty shifted windows; an empty one adds 0. The windows are the
+    union over the plans, in order of first use, so that one elimination
+    serves every n; with one plan and r = 0 they are its pairs."""
     windows: dict[tuple[int, int], int] = {}
     terms = []
-    for k, s in pairs:
-        row = []
-        for j in range(r + 1):
-            w = (max(k - j, -1), min(s - j, m))
-            if w[0] < w[1]:
-                row.append((math.comb(r, j),
-                            windows.setdefault(w, len(windows))))
-        terms.append(tuple(row))
+    for n, r, pairs in plans:
+        m = n - r
+        rows = []
+        for k, s in pairs:
+            row = []
+            for j in range(r + 1):
+                w = (max(k - j, -1), min(s - j, m))
+                if w[0] < w[1]:
+                    row.append((math.comb(r, j),
+                                windows.setdefault(w, len(windows))))
+            rows.append(tuple(row))
+        terms.append(tuple(rows))
     return (tuple(windows), min(k for k, _ in windows),
             max(s for _, s in windows), tuple(terms))
 
 
-def _pair_partial_sums(n: int, pairs: tuple[tuple[int, int], ...],
-                       cells: list[ConjCell]) -> list[int]:
-    """Size-weighted fixed-point sums of a slice of cells, one per pair.
+def _peel_groups(cells_by_n: dict[int, list[ConjCell]]):
+    """The cells of every n, peeled run by run (_peel_run) and grouped by
+    their exact reduced zero coset (A_K, 0), keyed by m and the rows of
+    A_K: a list of (zero, {n: [(size, kept, b), ...]}) in order of first
+    appearance. Runs with equal keys share a group, whatever their n or
+    their place in the list."""
+    groups: dict[tuple, tuple] = {}
+    for n, cells in cells_by_n.items():
+        for _, run in groupby(cells, key=lambda c: c.rep.a):
+            zero, _, peeled = _peel_run(n, list(run))
+            _, by_n = groups.setdefault((zero.n, zero.a.row_bits),
+                                        (zero, {}))
+            by_n.setdefault(n, []).extend(peeled)
+    return list(groups.values())
 
-    The slice is taken run by run (maximal blocks of consecutive cells with
-    equal linear parts A), and each run is peeled as _peel_run states. Each
-    cell makes one fixed_space_log2 call on the reduced windows of its
-    peel, whose single elimination serves every one of them, and the
-    n-variable fixdims are their convolution (_peel_plan). The images are
-    built once per run, for the reduced zero coset, and every cell with a
-    reduced translation derives its own from them (translated_images),
-    whatever the order of the run's cells; a kept y is bit m of that
-    translation. Such a cell peels one coordinate fewer, which moves its
-    windows up at most a degree, so the build for the full peel serves it
-    too."""
-    sums = [0] * len(pairs)
-    for _, run in groupby(cells, key=lambda c: c.rep.a):
-        zero, r, peeled = _peel_run(n, list(run))
-        _, k0, top, _ = _peel_plan(n, r, pairs)
+
+def _pair_partial_sums(wanted_by_n: dict[int, tuple[tuple[int, int], ...]],
+                       groups) -> dict[int, list[int]]:
+    """Size-weighted fixed-point sums of a slice of groups (_peel_groups),
+    one list per n of wanted_by_n, one entry per pair of that n.
+
+    A group's images are built once, for its reduced zero coset, on the
+    union of the windows that the full peel leaves at each of its n. Each
+    distinct reduced element (kept, b) of the group, at any n, makes one
+    fixed_space_log2 call on the union of the windows its cells need
+    (_peel_plan), and derives its images from the group's
+    (translated_images) when b != 0; a kept y is bit m of b. Such an
+    element peels one coordinate fewer, which moves its windows up at
+    most a degree, so the build for the full peel serves it too. Each
+    cell's n-variable fixdims are convolved from that one list."""
+    sums = {n: [0] * len(pairs) for n, pairs in wanted_by_n.items()}
+    for zero, by_n in groups:
+        m = zero.n
+        _, k0, top, _ = _peel_plan(tuple((n, n - m, wanted_by_n[n])
+                                         for n in by_n))
         base = monomial_images(zero, top, k0)
-        for size, kept, b in peeled:
-            windows, k, s, terms = _peel_plan(n, r - kept, pairs)
-            images = translated_images(base, zero.n, b, s, k) if b else base
-            fixdims = fixed_space_log2(images, zero.n + kept, windows)
-            for i, row in enumerate(terms):
-                fixdim = 0
-                for c, w in row:
-                    fixdim += c * fixdims[w]
-                sums[i] += size << fixdim
+        # reduced b, with a kept y as bit m -> {n: summed cell sizes}
+        elements: dict[int, dict[int, int]] = {}
+        for n, peeled in by_n.items():
+            for size, _, b in peeled:
+                sizes = elements.setdefault(b, {})
+                sizes[n] = sizes.get(n, 0) + size
+        for b, sizes in elements.items():
+            v = m + (b >> m)  # the element's variables
+            windows, k, s, terms = _peel_plan(tuple(
+                (n, n - v, wanted_by_n[n]) for n in sizes))
+            images = translated_images(base, m, b, s, k) if b else base
+            fixdims = fixed_space_log2(images, v, windows)
+            for (n, size), rows in zip(sizes.items(), terms):
+                acc = sums[n]
+                for i, row in enumerate(rows):
+                    fixdim = 0
+                    for c, w in row:
+                        fixdim += c * fixdims[w]
+                    acc[i] += size << fixdim
     return sums
 
 
-def count_pairs(n: int, pairs, provider: str = "canonical", *,
-                threads: int = 1, file=None,
-                cells=None) -> dict[tuple[int, int], CountResult]:
-    """Counts for several (k, s) pairs in one sweep, sharing the cell list
-    and the per-run monomial images. Returns {(k, s): CountResult}; each
-    result carries the elapsed time of the whole sweep, which starts once
-    the cells are built and checked.
-
-    Each cell is peeled and each run of cells with equal linear parts
-    builds its images once, as _pair_partial_sums describes. With
-    threads > 1 the runs go to at most min(threads, runs, CPUs) worker
-    processes, whole runs, dealt in turn. A serial count never imports
-    the process pool.
-
-    Given cells must partition AGL(n,2), and every member of a cell must fix
-    the same number of vectors as its representative in every window, as
-    conjugate elements and generators of one cyclic subgroup do. Only the
-    size sum and the representatives' n are checked here."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    # pairs loaded from JSON are lists, which do not hash
-    pairs = tuple((k, s) for k, s in pairs)
-    if not pairs:
-        return {}
-    for k, s in pairs:
-        check_params(n, s, k)
-    if len(set(pairs)) != len(pairs):
-        raise ValueError("duplicate (k, s) pairs")
+def _checked_cells(n: int, provider: str, file, cells) -> list[ConjCell]:
+    """cells, or else the provider's cells for n, checked to be for n and
+    to cover AGL(n,2) by their sizes."""
     if cells is None:
         cells = resolve_cells(n, provider, file=file)
     for c in cells:
         if c.rep.n != n:
             raise CellDecompositionError(
                 f"a cell representative is for n={c.rep.n}, not n={n}")
-    order = group_orders(n)[1]
     total_size = sum(c.size for c in cells)
+    order = group_orders(n)[1]
     if total_size != order:
         raise CellDecompositionError(
             f"cell sizes sum to {total_size}, not |AGL({n},2)| = {order}")
+    return cells
+
+
+def count_pairs(n: int, pairs, provider: str = "canonical", *,
+                threads: int = 1, file=None,
+                cells=None) -> dict[tuple, CountResult]:
+    """Counts for several windows in one sweep, sharing the cell lists,
+    the images and the eliminations. Each entry of pairs is a (k, s) for
+    this n or a triple (m, k, s) for any 1 <= m <= n; the result maps each
+    entry, as a tuple, to its CountResult, which carries its own n and
+    cell count. Every result carries the elapsed time of the whole sweep,
+    over all n, which starts once every n's cells are built and checked.
+
+    The cells of every n are peeled and grouped by their reduced zero
+    coset (_peel_groups), and each distinct reduced element is eliminated
+    once, over every window its cells need at any n, as
+    _pair_partial_sums describes. With threads > 1 the groups go to at
+    most min(threads, groups, CPUs) worker processes, whole, dealt in
+    turn. A serial count never imports the process pool.
+
+    Given cells, or a cell file (provider import), hold one n, this n, so
+    a triple for another n is a usage error. Given cells must partition
+    AGL(n,2), and every member of a cell must fix the same number of
+    vectors as its representative in every window, as conjugate elements
+    and generators of one cyclic subgroup do. Only the size sum and the
+    representatives' n are checked here."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    # pairs loaded from JSON are lists, which do not hash
+    entries = [tuple(p) for p in pairs]
+    if not entries:
+        return {}
+    windows = [p if len(p) == 3 else (n, *p) for p in entries]
+    for m, k, s in windows:
+        if not 1 <= m <= n:
+            raise ValueError(f"window n={m} is outside 1..{n}")
+        check_params(m, s, k)
+    if len(set(windows)) != len(windows):
+        raise ValueError("duplicate windows")
+    # the n in increasing order, each with its pairs in the order given
+    wanted_by_n = {m: tuple((k, s) for n2, k, s in windows if n2 == m)
+                   for m in sorted({m for m, _, _ in windows})}
+    other = set(wanted_by_n) - {n}
+    if other and (cells is not None or provider == "import"):
+        raise ValueError(f"the cells given or read from a file hold n={n} "
+                         f"only, not n={min(other)}")
+    cells_by_n = {m: _checked_cells(m, provider, file, cells)
+                  for m in wanted_by_n}
+    ncells = {m: len(listed) for m, listed in cells_by_n.items()}
     start = time.perf_counter()
-    # runs: the maximal blocks of consecutive cells with equal linear parts
-    runs = [list(run) for _, run in groupby(cells, key=lambda c: c.rep.a)]
-    # never more processes than runs or CPUs
-    workers = min(threads, len(runs), os.cpu_count() or 1)
+    groups = _peel_groups(cells_by_n)
+    # the groups hold all the sweep reads of the cells: drop the lists, so
+    # that the sweep holds one copy of them
+    del cells_by_n
+    # never more processes than groups or CPUs
+    workers = min(threads, len(groups), os.cpu_count() or 1)
     if workers > 1:
-        # whole runs, so that each run's images are built in one slice only
-        slices = [[] for _ in range(workers)]
-        for i, run in enumerate(runs):
-            slices[i % workers].extend(run)
+        # whole groups, so that each group's images are built in one
+        # slice only
+        slices = [groups[w::workers] for w in range(workers)]
         # a value patched onto the module attribute wins over the import
         executor = (globals().get("ProcessPoolExecutor")
                     or __getattr__("ProcessPoolExecutor"))
         with executor(max_workers=workers) as pool:
             partials = list(pool.map(_pair_partial_sums,
-                                     [n] * workers, [pairs] * workers, slices))
-        sums = [sum(p[i] for p in partials) for i in range(len(pairs))]
+                                     [wanted_by_n] * workers, slices))
+        sums = {m: [sum(p[m][i] for p in partials) for i in range(len(w))]
+                for m, w in wanted_by_n.items()}
     else:
-        sums = _pair_partial_sums(n, pairs, cells)
+        sums = _pair_partial_sums(wanted_by_n, groups)
     elapsed = time.perf_counter() - start
-    out = {}
-    for (k, s), acc in zip(pairs, sums):
-        q, rem = divmod(acc, order)
-        if rem or q < 1:
-            raise InexactDivisionError(
-                f"n={n} s={s} k={k}: Burnside sum {acc} leaves remainder "
-                f"{rem} mod |AGL({n},2)| and quotient {q}")
-        out[(k, s)] = CountResult(n, s, k, q, len(cells), elapsed)
-    return out
+    results = {}
+    for m, w in wanted_by_n.items():
+        order = group_orders(m)[1]
+        for (k, s), acc in zip(w, sums[m]):
+            q, rem = divmod(acc, order)
+            if rem or q < 1:
+                raise InexactDivisionError(
+                    f"n={m} s={s} k={k}: Burnside sum {acc} leaves "
+                    f"remainder {rem} mod |AGL({m},2)| and quotient {q}")
+            results[m, k, s] = CountResult(m, s, k, q, ncells[m],
+                                           elapsed)
+    return {p: results[w] for p, w in zip(entries, windows)}
 
 
 def count(n: int, s: int, k: int, provider: str = "canonical", *,

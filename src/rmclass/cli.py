@@ -115,17 +115,14 @@ def cmd_verify(args) -> int:
             f"no oracle entries with n <= {args.max_n}"
             + (f" in table {args.table}" if args.table else "")
             + (f" for the cell file's n={cells[0].rep.n}" if cells else ""))
-    # every n is counted before the first check line, so a provider or a
-    # count that fails at a later n leaves no partial report
-    results = {}
-    for n in sorted({e.n for e in wanted}):
-        pairs = sorted({(e.k, e.s) for e in wanted if e.n == n})
-        results[n] = count_pairs(n, pairs, args.provider,
-                                 threads=args.threads, file=args.file,
-                                 cells=cells)
+    # one sweep counts every n before the first check line, so a provider
+    # or a count that fails at a later n leaves no partial report
+    windows = sorted({(e.n, e.k, e.s) for e in wanted})
+    results = count_pairs(max(e.n for e in wanted), windows, args.provider,
+                          threads=args.threads, file=args.file, cells=cells)
     failures = 0
     for e in sorted(wanted, key=lambda e: e.n):
-        got = results[e.n][(e.k, e.s)].count
+        got = results[e.n, e.k, e.s].count
         status = "PASS" if got == e.value else "FAIL"
         if status == "FAIL":
             failures += 1

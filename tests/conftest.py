@@ -84,6 +84,25 @@ def find_inexact_swap(n: int, cells: list[ConjCell]):
     raise AssertionError("no tampering produced an inexact division")
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the requested worker
+    count and runs the slices in this process, starting nothing."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        FakePool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = sys.modules.get("test_acceptance")
     lines = getattr(mod, "RESULTS", None) if mod else None

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_elements, find_inexact_swap, make_example
+from conftest import FakePool, all_elements, find_inexact_swap, make_example
 from helpers_oracle import (
     FROZEN_COUNTS,
     brute_class_count,
@@ -127,11 +127,16 @@ def test_count_pairs_matches_single_counts():
 
 
 def test_count_pairs_takes_pairs_as_lists():
-    # pairs loaded from JSON are lists; the results are keyed by tuples
+    # pairs loaded from JSON are lists; the results are keyed by tuples,
+    # a (k, s) for n and an (m, k, s) for any m <= n, each as given
     pairs = all_pairs(4)
     as_lists = count_pairs(4, [list(p) for p in pairs])
     assert {p: r.count for p, r in as_lists.items()} == {
         p: r.count for p, r in count_pairs(4, pairs).items()}
+    mixed = count_pairs(4, [[1, 3], [3, 1, 3], (2, 0, 2), (4, 0, 2)])
+    assert {p: (r.n, r.k, r.s, r.count) for p, r in mixed.items()} == {
+        (1, 3): (4, 1, 3, 5), (3, 1, 3): (3, 1, 3, 3),
+        (2, 0, 2): (2, 0, 2, 3), (4, 0, 2): (4, 0, 2, count(4, 2, 0).count)}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -196,7 +201,14 @@ def test_pair_partial_sums_any_pair_order():
         for i, (k, s) in enumerate(pairs):
             [fixdim] = fixed_space_log2(images, n, [(k, s)])
             want[i] += cell.size << fixdim
-    assert burnside._pair_partial_sums(n, tuple(pairs), cells) == want
+    assert partial_sums(n, pairs, cells) == want
+
+
+def partial_sums(n, pairs, cells):
+    """_pair_partial_sums over the cells of one n, grouped as count_pairs
+    groups them: the size-weighted sums, one per pair."""
+    groups = burnside._peel_groups({n: cells})
+    return burnside._pair_partial_sums({n: tuple(pairs)}, groups)[n]
 
 
 def fresh_partial_sums(n, pairs, cells):
@@ -211,17 +223,17 @@ def fresh_partial_sums(n, pairs, cells):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pair_partial_sums_any_slicing_or_order(n):
-    # count_pairs deals whole runs of equal linear parts, but the sums may
-    # depend on neither the slicing nor the order of the cells: round-robin
-    # slices split the runs, and the reversed list puts each fiber cell
-    # before its zero coset
+    # count_pairs deals whole groups of one reduced zero coset, but the
+    # sums may depend on neither the slicing nor the order of the cells:
+    # round-robin slices split the runs, and the reversed list puts each
+    # fiber cell before its zero coset
     pairs = tuple(all_pairs(n))
     for cells in (rational_cells(n), affine_cells(n)):
-        want = burnside._pair_partial_sums(n, pairs, cells)
-        partials = [burnside._pair_partial_sums(n, pairs, cells[w::3])
+        want = partial_sums(n, pairs, cells)
+        partials = [partial_sums(n, pairs, cells[w::3])
                     for w in range(3) if cells[w::3]]
         assert [sum(p) for p in zip(*partials)] == want
-        assert burnside._pair_partial_sums(n, pairs, cells[::-1]) == want
+        assert partial_sums(n, pairs, cells[::-1]) == want
 
 
 def test_pair_partial_sums_derive_only_from_the_same_linear_part():
@@ -239,7 +251,7 @@ def test_pair_partial_sums_derive_only_from_the_same_linear_part():
     cells = [cell(a1, 0), cell(a1, 0b0001), cell(a1, 0b0110),
              cell(a1, 0b1000), cell(a2, 0b0100), cell(a2, 0),
              cell(a1, 0b0010), cell(a2, 0b0010), cell(a2, 0b0011)]
-    assert burnside._pair_partial_sums(n, pairs, cells) == \
+    assert partial_sums(n, pairs, cells) == \
         fresh_partial_sums(n, pairs, cells)
 
 
@@ -299,7 +311,7 @@ def test_pair_partial_sums_reuse_imported_linear_parts(monkeypatch, tmp_path):
         return real(g, *args)
 
     monkeypatch.setattr(burnside, "monomial_images", spy)
-    got = burnside._pair_partial_sums(n, pairs, cells)
+    got = partial_sums(n, pairs, cells)
     assert built == [reduced_zero_coset(run) for run in runs(cells)]
     assert got == fresh_partial_sums(n, pairs, cells)
 
@@ -390,23 +402,98 @@ def test_reduced_elements_are_distinct_and_nested():
     assert sizes == [2, 5, 10, 22, 40, 80, 140, 260, 447, 790]
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: records the requested worker
-    count and runs the slices in this process, starting nothing."""
+def all_windows(top):
+    """Every window (m, k, s) with 1 <= m <= top."""
+    return [(m, k, s) for m in range(1, top + 1) for k, s in all_pairs(m)]
 
-    requested = []
 
-    def __init__(self, max_workers):
-        FakePool.requested.append(max_workers)
+def reference_windows(top):
+    """The windows (n, k, s) of the shipped reference rows with n <= top."""
+    return sorted({(e.n, e.k, e.s) for e in load_oracle().entries
+                   if e.n <= top})
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+@pytest.mark.parametrize("windows", [all_windows, reference_windows])
+def test_sweep_eliminates_each_reduced_element_once(monkeypatch, windows):
+    # one count_pairs over every window of n = 1..8, and over the
+    # reference rows of n <= 8 as verify counts them, where the smallest n
+    # of a group may need narrower windows than the largest: the rational
+    # cells of all n reduce to the 260 elements of n = 8, and each is
+    # eliminated once, on the union of the windows its cells need at
+    # every n. Each fixdim must equal a fresh elimination of the element
+    # itself on those windows. Within a group, an element with b != 0
+    # derives its images right before its elimination; one with b = 0
+    # reads the group's build
+    zero, derived, seen = None, [], []
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def build_spy(g, *args, real=burnside.monomial_images):
+        nonlocal zero
+        zero = g
+        return real(g, *args)
+
+    def derive_spy(base, m, b, *args, real=burnside.translated_images):
+        derived.append(b)
+        return real(base, m, b, *args)
+
+    def rank_spy(images, n, windows, real=burnside.fixed_space_log2):
+        fixdims = real(images, n, windows)
+        seen.append((zero, derived.pop() if derived else 0, tuple(windows),
+                     fixdims))
+        return fixdims
+
+    monkeypatch.setattr(burnside, "monomial_images", build_spy)
+    monkeypatch.setattr(burnside, "translated_images", derive_spy)
+    monkeypatch.setattr(burnside, "fixed_space_log2", rank_spy)
+    count_pairs(8, windows(8))
+    elements = []
+    for zero, b, windows, fixdims in seen:
+        m = zero.n
+        v = m + (b >> m)
+        rows = zero.a.row_bits + (1 << m,) * (v - m)
+        g = AffineElement(v, BitMatrix(v, v, rows), BitVector(v, b))
+        assert fixed_space_log2(monomial_images(g), v, windows) == fixdims, \
+            str(g)
+        elements.append((v, rows, b))
+    assert sorted(elements) == sorted(reduced_elements(8))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_sweep_counts_as_one_call_per_n(monkeypatch, threads):
+    # every window of n = 1..8 over the rational cells, and of n = 1..4
+    # over the exhaustive classes, in one call: the same counts and cell
+    # numbers as one call per n, with one pool for all n
+    monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for provider, top in (("canonical", 8), ("exhaustive", 4)):
+        FakePool.requested = []
+        got = count_pairs(top, all_windows(top), provider, threads=threads)
+        assert FakePool.requested == ([2] if threads == 2 else [])
+        assert len(got) == len(all_windows(top))
+        for m in range(1, top + 1):
+            for (k, s), want in count_pairs(m, all_pairs(m), provider).items():
+                res = got[m, k, s]
+                assert (res.n, res.k, res.s, res.count, res.cells) == \
+                    (m, k, s, want.count, want.cells)
+
+
+def test_count_pairs_rejects_bad_windows(tmp_path):
+    # a triple outside 1..n, a bad window and one window given twice, as
+    # (k, s) and as (n, k, s); given cells and a cell file hold one n, so
+    # a triple for another n is a usage error, never a count
+    for bad, match in (([(5, 1, 3)], "n=5 is outside 1..4"),
+                       ([(1, 3), (0, -1, 0)], "n=0 is outside 1..4"),
+                       ([(3, 2, 4)], "need -1 <= k < s <= n"),
+                       ([(1, 3), (4, 1, 3)], "duplicate")):
+        with pytest.raises(ValueError, match=match):
+            count_pairs(4, bad)
+    path = tmp_path / "cells.txt"
+    export_cells(affine_cells(4), path)
+    for kwargs in ({"provider": "import", "file": path},
+                   {"cells": affine_cells(4)}):
+        for windows in ([(3, 1, 3)], [(1, 3), (3, 1, 3)]):
+            with pytest.raises(ValueError, match="hold n=4 only, not n=3"):
+                count_pairs(4, windows, **kwargs)
+        assert count_pairs(4, [(4, 1, 3)], **kwargs)[4, 1, 3].count == 5
 
 
 def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
@@ -420,7 +507,8 @@ def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
         assert {p: r.count for p, r in got.items()} == serial
         # one worker runs in the caller's process, without a pool
         assert FakePool.requested == ([workers] if workers > 1 else [])
-    # never more workers than runs of equal linear parts: n = 1 has one
+    # never more workers than groups of one reduced zero coset: n = 1 has
+    # one
     FakePool.requested = []
     count(1, 1, -1, threads=8)
     assert FakePool.requested == []
@@ -428,24 +516,28 @@ def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
-    # each run of cells with one linear part goes whole to one slice, is
-    # peeled there once, and only (A, 0), reduced by the free coordinates
-    # of A, builds images; every cell of the run derives its own from them
+    # each run of cells with one linear part is peeled once, and its cells
+    # go to the group of its reduced zero coset; each group goes whole to
+    # one slice, and only its (A, 0), reduced by the free coordinates of
+    # A, builds images; every cell derives its own from them. The runs of
+    # the rational cells of one n have distinct zero cosets, so each run
+    # is a group of its own
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     built, slices, peeled = [], [], []
+    real_peel = burnside._peel_run
 
     def build_spy(g, *args, real=burnside.monomial_images):
         built.append(g)
         return real(g, *args)
 
-    def slice_spy(n, pairs, cells, real=burnside._pair_partial_sums):
-        slices.append(cells)
-        return real(n, pairs, cells)
+    def slice_spy(wanted, groups, real=burnside._pair_partial_sums):
+        slices.append(groups)
+        return real(wanted, groups)
 
-    def peel_spy(n, run, real=burnside._peel_run):
+    def peel_spy(n, run):
         peeled.append(tuple(run))
-        return real(n, run)
+        return real_peel(n, run)
 
     monkeypatch.setattr(burnside, "monomial_images", build_spy)
     monkeypatch.setattr(burnside, "_pair_partial_sums", slice_spy)
@@ -462,10 +554,13 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         zero_cosets = [reduced_zero_coset(run) for run in runs(cells)]
         assert sorted(map(str, built)) == sorted(map(str, zero_cosets))
         assert sorted(peeled, key=str) == sorted(runs(cells), key=str)
-        # run i of the whole list lands in slice i mod threads
+        # run i of the whole list is group i, and lands in slice
+        # i mod threads
         for w, part in enumerate(slices):
-            assert part == [c for i, run in enumerate(runs(cells))
-                            if i % threads == w for c in run]
+            assert part == [(zero, {n: real_peel(n, list(run))[2]})
+                            for i, (zero, run) in enumerate(
+                                zip(zero_cosets, runs(cells)))
+                            if i % threads == w]
 
 
 def test_count_pairs_rejects_threads_below_one():
@@ -478,7 +573,8 @@ def test_burnside_sum_below_group_order_raises(monkeypatch):
     # unreachable with valid cells (each contributes at least its size);
     # the check must still raise, not assert, so `python -O` keeps it
     monkeypatch.setattr(burnside, "_pair_partial_sums",
-                        lambda n, pairs, cells: [0] * len(pairs))
+                        lambda wanted, groups:
+                            {n: [0] * len(p) for n, p in wanted.items()})
     with pytest.raises(InexactDivisionError, match="quotient 0"):
         count(3, 3, -1)
 
@@ -589,7 +685,7 @@ def test_fixdims_match_the_point_permutation_oracle(n):
         elements += all_elements(n)
     for g in elements:
         want = point_fixdims(g, pairs)
-        assert burnside._pair_partial_sums(n, pairs, [ConjCell(g, 1)]) == \
+        assert partial_sums(n, pairs, [ConjCell(g, 1)]) == \
             [1 << f for f in want], str(g)
         assert fixed_space_log2(monomial_images(g), n, pairs) == want, str(g)
 
@@ -607,8 +703,7 @@ def test_peeled_fixdims_equal_direct_elimination(n):
                 continue
             peeled += 1
             direct = fixed_space_log2(monomial_images(cell.rep), n, pairs)
-            got = burnside._pair_partial_sums(n, pairs,
-                                              [ConjCell(cell.rep, 1)])
+            got = partial_sums(n, pairs, [ConjCell(cell.rep, 1)])
             assert got == [1 << f for f in direct], str(cell.rep)
     assert peeled > 0
 
@@ -640,8 +735,7 @@ def test_cells_that_keep_a_free_coordinate(n):
                 want = fixed_space_log2(monomial_images(g), n, pairs)
                 if n <= 5:
                     assert point_fixdims(g, pairs) == want, str(g)
-                assert burnside._pair_partial_sums(
-                    n, pairs, [ConjCell(g, 1)]) == \
+                assert partial_sums(n, pairs, [ConjCell(g, 1)]) == \
                     [1 << fixdim for fixdim in want], str(g)
                 tried += 1
     assert tried > 0
@@ -688,7 +782,7 @@ def test_run_with_several_cells_that_keep_a_coordinate(monkeypatch):
         return real(g, *args)
 
     monkeypatch.setattr(burnside, "monomial_images", spy)
-    got = burnside._pair_partial_sums(n, pairs, cells)
+    got = partial_sums(n, pairs, cells)
     assert built == [reduced_zero_coset(cells)]
     assert got == fresh_partial_sums(n, pairs, cells)
 

@@ -1,10 +1,11 @@
 import io
+import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import TAU_ROWS, find_inexact_swap, make_example
+from conftest import FakePool, TAU_ROWS, find_inexact_swap, make_example
 from rmclass import burnside, cli, conjclasses
 from rmclass.conjclasses import (
     affine_cells,
@@ -121,6 +122,41 @@ def test_cells_are_built_once_inside_count_pairs(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_opens_one_pool(capsys, monkeypatch):
+    # one count_pairs call counts every n, so --threads 2 opens one pool,
+    # not one per n, builds each n's cells once and prints the serial
+    # run's stdout
+    monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    builds = []
+    real_build = burnside.rational_cells
+    monkeypatch.setattr(burnside, "rational_cells",
+                        lambda n: builds.append(n) or real_build(n))
+    FakePool.requested = []
+    assert run_cli("verify", "--max-n", "6") == 0
+    serial = capsys.readouterr().out
+    assert FakePool.requested == []
+    builds.clear()
+    assert run_cli("verify", "--max-n", "6", "--threads", "2") == 0
+    assert FakePool.requested == [2]
+    assert builds == [3, 4, 5, 6]
+    assert capsys.readouterr().out == serial
+
+
+def test_verify_bad_window_is_usage_error(capsys, monkeypatch):
+    # a window above the sweep's n raises ValueError in count_pairs: exit
+    # 2, before any check line
+    real = burnside.count_pairs
+    monkeypatch.setattr(
+        cli, "count_pairs",
+        lambda n, windows, *args, **kwargs:
+            real(n, [*windows, (n + 1, 1, 2)], *args, **kwargs))
+    assert run_cli("verify", "--max-n", "4") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=5 is outside 1..4" in captured.err
+
+
 def test_classes_takes_no_threads(capsys, tmp_path):
     assert run_cli("classes", "--n", "3", "--file", str(tmp_path / "c.txt"),
                    "--threads", "2") == 2
@@ -140,7 +176,8 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
     # the inexact division
     with monkeypatch.context() as m:
         m.setattr(burnside, "_pair_partial_sums",
-                  lambda n, pairs, cells: [0] * len(pairs))
+                  lambda wanted, groups:
+                      {n: [0] * len(p) for n, p in wanted.items()})
         assert run_cli("count", "--n", "3", "--s", "3", "--k", "-1") == 3
     internal_error("count_pairs")
 
@@ -240,11 +277,12 @@ def test_verify_provider_failure_prints_no_checks(capsys):
 def test_verify_count_failure_prints_no_checks(capsys, monkeypatch):
     # the n = 3 rows count fine, the n = 4 sum breaks: every n is counted
     # before the first check line, so no partial report
-    real = burnside._pair_partial_sums
-    monkeypatch.setattr(
-        burnside, "_pair_partial_sums",
-        lambda n, pairs, cells:
-            [0] * len(pairs) if n == 4 else real(n, pairs, cells))
+    def broken(wanted, groups, real=burnside._pair_partial_sums):
+        sums = real(wanted, groups)
+        sums[4] = [0] * len(wanted[4])
+        return sums
+
+    monkeypatch.setattr(burnside, "_pair_partial_sums", broken)
     assert run_cli("verify", "--max-n", "4") == 3
     captured = capsys.readouterr()
     assert not any(ln.startswith("check ")
