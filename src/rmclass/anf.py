@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .gf2 import BitVector
+from .gf2 import BitVector, Value
 from .group import AffineElement
 
 
@@ -38,12 +37,10 @@ def space_dimension(n: int, s: int, k: int) -> int:
     return sum(math.comb(n, i) for i in range(k + 1, s + 1))
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """Product of distinct variables; mask bit t set means x_{t+1} divides it."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
     def __post_init__(self):
         if self.n < 0 or not 0 <= self.mask < (1 << self.n):
@@ -86,12 +83,11 @@ def monomial_order(n: int, s: int, k: int) -> tuple[Monomial, ...]:
     return tuple(order)
 
 
-@dataclass(frozen=True)
-class Anf:
-    """A Boolean function as its xor-of-monomials normal form."""
+class Anf(Value):
+    """A Boolean function as its xor-of-monomials normal form on n
+    variables: bit u of terms set = monomial with mask u present."""
 
-    n: int
-    terms: int  # bit u set = monomial with mask u present
+    __slots__ = ("n", "terms")
 
     def __post_init__(self):
         if self.n < 0 or not 0 <= self.terms < (1 << (1 << self.n)):
@@ -128,15 +124,11 @@ class Anf:
         return Anf(self.n, self.terms ^ other.terms)
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
+class CoefficientVector(Value):
     """Coordinates of a function in the canonical monomial order of the
-    quotient space with parameters (n, s, k)."""
+    quotient space with parameters (n, s, k), as a BitVector bits."""
 
-    n: int
-    s: int
-    k: int
-    bits: BitVector
+    __slots__ = ("n", "s", "k", "bits")
 
     def __post_init__(self):
         d = space_dimension(self.n, self.s, self.k)

@@ -16,7 +16,6 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass
 from itertools import groupby
 
 from .anf import check_params
@@ -27,7 +26,7 @@ from .conjclasses import (
     import_cells,
     rational_cells,
 )
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, Value
 from .group import AffineElement, group_orders
 from .linrep import fixed_space_log2, monomial_images, translated_images
 
@@ -49,14 +48,10 @@ class InexactDivisionError(ArithmeticError):
     """The Burnside sum is not a positive multiple of the group order."""
 
 
-@dataclass(frozen=True)
-class CountResult:
-    n: int
-    s: int
-    k: int
-    count: int
-    cells: int
-    elapsed: float
+class CountResult(Value):
+    """One (n, s, k), its class count, its cells and its sweep's seconds."""
+
+    __slots__ = ("n", "s", "k", "count", "cells", "elapsed")
 
 
 def fix_count(g: AffineElement, s: int, k: int) -> int:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +21,7 @@ from .conjclasses import (
     export_cells,
     import_cells,
 )
+from .gf2 import Value
 from .group import element_from_text
 from .linrep import tau_matrix
 
@@ -34,21 +33,18 @@ EXIT_INTERNAL = 3
 TABLE_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X")
 
 
-@dataclass(frozen=True)
-class OracleEntry:
-    table: str
-    n: int
-    k: int
-    s: int
-    value: int
+class OracleEntry(Value):
+    """One published count: table tag, n, k, s and the value."""
+
+    __slots__ = ("table", "n", "k", "s", "value")
 
 
-@dataclass(frozen=True)
-class OracleTable:
-    """Published reference counts, keyed by (n, k, s); an entry may appear
-    in more than one table, always with the same value."""
+class OracleTable(Value):
+    """Published reference counts, a tuple of OracleEntry entries, keyed by
+    (n, k, s); an entry may appear in more than one table, always with the
+    same value."""
 
-    entries: tuple[OracleEntry, ...]
+    __slots__ = ("entries",)
 
     def __post_init__(self):
         seen = {}
@@ -234,6 +230,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:
+        import traceback  # loaded only on this path
         traceback.print_exc()
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -27,10 +27,12 @@ conjugacy classes: each cell's members are mutually conjugate.
 
 Each call builds its list afresh (the cold n = 10 build takes well under a
 tenth of a second); a caller that counts many times over one n passes the
-list it built as cells=. Only the exhaustive group walk and the GF(2^m)
-tables are cached, read-only: one n = 4 walk takes over a second and
-small-n checks count through it often (its representatives are decoded on
-every call), and each table serves every n >= m.
+list it built as cells=. Only the exhaustive group walk, the GF(2^m)
+tables, the powers p^e and the centralizer factors of primary parts are
+cached, read-only: one n = 4 walk takes over a second and small-n checks
+count through it often (its representatives are decoded on every call),
+each table serves every n >= m, and the powers and factors recur across
+the classes of every n.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ import functools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .gf2 import BitMatrix, BitVector, SingularMatrixError
+from .gf2 import BitMatrix, BitVector, SingularMatrixError, Value
 from .group import (
     AffineElement,
     Permutation,
@@ -63,34 +64,28 @@ class CellDecompositionError(ValueError):
     """Cells parse but do not form a valid decomposition."""
 
 
-@dataclass(frozen=True)
-class ConjCell:
+class ConjCell(Value):
     """A cell of the group: one representative and the exact size. Every
     member fixes as many vectors as the representative in every window."""
 
-    rep: AffineElement
-    size: int
+    __slots__ = ("rep", "size")
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("cell size must be positive")
 
 
-@dataclass(frozen=True)
-class GlClassDescriptor:
+class GlClassDescriptor(Value):
     """A GL(n,2) conjugacy class in rational canonical form.
 
     assignment maps each monic irreducible polynomial (coefficient-packed
     int, bit i = coefficient of x^i; p(x) = x excluded) to the partition
     listing the exponents of its elementary divisors; pairs are sorted by
     (degree, coefficient bits). rep is the direct sum of the companion
-    matrices of p^e.
+    matrices of p^e, a BitMatrix.
     """
 
-    assignment: tuple[tuple[int, tuple[int, ...]], ...]
-    rep: BitMatrix
-    size: int
-    centralizer: int
+    __slots__ = ("assignment", "rep", "size", "centralizer")
 
 
 # --- polynomials over GF(2), packed as ints (bit i = coefficient of x^i) ---
@@ -105,6 +100,7 @@ def _poly_mul(a: int, b: int) -> int:
     return r
 
 
+@functools.lru_cache(maxsize=None)
 def _poly_pow(p: int, e: int) -> int:
     r = 1
     for _ in range(e):
@@ -161,20 +157,28 @@ def _companion_sum(polys: list[int]) -> BitMatrix:
 
 
 def _centralizer_order(assignment) -> int:
-    """|{X in GL : X commutes with the class rep}|, from the partition data:
-    product over polynomials of q^(sum of squared conjugate-partition parts)
+    """|{X in GL : X commutes with the class rep}|: the product of the
+    factors of its primary parts, one per polynomial."""
+    return math.prod(_primary_centralizer(poly.bit_length() - 1, lam)
+                     for poly, lam in assignment)
+
+
+# cached: the 1002 classes of GL(10,2) have 2,106 primary parts, 143 distinct
+@functools.lru_cache(maxsize=None)
+def _primary_centralizer(degree: int, lam: tuple[int, ...]) -> int:
+    """The centralizer factor of the primary part p^lam, deg p = degree,
+    from the partition data: q^(sum of squared conjugate-partition parts)
     times prod over the multiplicities m_t of the parts t of
-    prod_{j=1}^{m_t} (1 - q^-j) = q^(-m_t(m_t+1)/2) prod_j (q^j - 1)."""
-    total = 1
-    for poly, lam in assignment:
-        q = 1 << (poly.bit_length() - 1)
-        mults = Counter(lam).values()
-        e = (sum(c * c for c in _conjugate_partition(lam))
-             - sum(m * (m + 1) // 2 for m in mults))
-        total *= q ** e
-        for m in mults:
-            for j in range(1, m + 1):
-                total *= q ** j - 1
+    prod_{j=1}^{m_t} (1 - q^-j) = q^(-m_t(m_t+1)/2) prod_j (q^j - 1),
+    with q = 2^degree."""
+    q = 1 << degree
+    mults = Counter(lam).values()
+    e = (sum(c * c for c in _conjugate_partition(lam))
+         - sum(m * (m + 1) // 2 for m in mults))
+    total = q ** e
+    for m in mults:
+        for j in range(1, m + 1):
+            total *= q ** j - 1
     return total
 
 
@@ -287,13 +291,15 @@ def _rational_groups(n: int) -> list[tuple[GlClassDescriptor, ...]]:
             raise RuntimeError(f"power {r} is not prime to 2 L")
     classes = gl_classes(n)
     index = {cls.assignment: i for i, cls in enumerate(classes)}
-    power_of = {}  # (p, r) -> minimal polynomial of alpha^r, p(alpha) = 0
+    # p -> the minimal polynomials of alpha^r, r in _POWERS, p(alpha) = 0;
+    # any root of p gives the same ones, so the first exponent serves
+    power_of = {}
     for m in range(1, n + 1):
         by_exp = _min_polys(m)
         order = (1 << m) - 1
         for e, p in by_exp.items():
-            for r in _POWERS:
-                power_of[p, r] = by_exp[e * r % order]
+            if p not in power_of:
+                power_of[p] = tuple(by_exp[e * r % order] for r in _POWERS)
 
     # walk each orbit: the loop over group also visits what it appends
     placed = set()
@@ -304,10 +310,12 @@ def _rational_groups(n: int) -> list[tuple[GlClassDescriptor, ...]]:
         placed.add(i)
         group = [i]
         for j in group:
-            for r in _POWERS:
-                image = tuple(sorted((power_of[p, r], lam)
-                                     for p, lam in classes[j].assignment))
-                k = index.get(image)
+            polys, lams = zip(*classes[j].assignment)
+            for r, images in zip(_POWERS,
+                                 zip(*(power_of[p] for p in polys))):
+                if images == polys:
+                    continue  # A^r lies in A's own class
+                k = index.get(tuple(sorted(zip(images, lams))))
                 if k is None:
                     raise RuntimeError(f"power {r} of GL class {j}: no class")
                 if k not in placed:

@@ -4,24 +4,85 @@ Vectors and matrices are immutable values; every operation returns a new
 object. Storage is bit-packed: a row is a single Python int with bit j
 holding column j, so a row operation is one word-parallel xor no matter how
 wide the matrix is. Rank/elimination work on copies, never on the inputs.
+
+Value, here in the bottom module, is the base of every value class of the
+package. A subclass names its fields in __slots__, in constructor order,
+may give trailing ones defaults in _defaults, and may check them in
+__post_init__. The base binds positional and keyword arguments and gives
+equality by type and fields, a hash and a Name(field=value, ...) repr,
+pickling through the constructor (which checks again) and AttributeError
+on assignment or deletion. It generates no code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+_set_field = object.__setattr__
+
+
+class Value:
+    """Immutable value with the fields named in its class's __slots__."""
+
+    __slots__ = ()
+    _defaults: dict = {}  # field -> its value when no argument gives one
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args))
+            clash = values.keys() & kwargs.keys()
+            values = {**self._defaults, **values, **kwargs}
+            if (len(args) > len(fields) or clash
+                    or values.keys() != set(fields)):
+                raise TypeError(f"{type(self).__qualname__}() takes the "
+                                f"fields {', '.join(fields)}, got {len(args)} "
+                                f"positional and {sorted(kwargs)} by keyword")
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            _set_field(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    # the field tuple alone: one of ints hashes alike in every run, so a
+    # set of such values iterates in the same order each time
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SingularMatrixError(ValueError):
     """A matrix that had to be invertible is not."""
 
 
-@dataclass(frozen=True)
-class BitVector:
+class BitVector(Value):
     """Length-n vector over GF(2), packed into an int (bit i = entry i)."""
 
-    n: int
-    bits: int = 0
+    __slots__ = ("n", "bits")
+    _defaults = {"bits": 0}
 
     def __post_init__(self):
         if self.n < 0:
@@ -61,13 +122,10 @@ class BitVector:
         return "".join(str(b) for b in self.entries())
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(Value):
     """rows x cols matrix over GF(2); row i packed as int (bit j = entry i,j)."""
 
-    rows: int
-    cols: int
-    row_bits: tuple[int, ...]
+    __slots__ = ("rows", "cols", "row_bits")
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:

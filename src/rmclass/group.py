@@ -9,12 +9,12 @@ most significant bit of the index.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .gf2 import (
     BitMatrix,
     BitVector,
     SingularMatrixError,
+    Value,
     identity as identity_matrix,
     inverse as mat_inverse,
     mat_mul,
@@ -27,13 +27,11 @@ class NotAffineError(ValueError):
     """A permutation of {0..2^n-1} that is not induced by any (A, b)."""
 
 
-@dataclass(frozen=True)
-class AffineElement:
-    """g = (A, b) in AGL(n,2); A must be invertible."""
+class AffineElement(Value):
+    """g = (A, b) in AGL(n,2): a BitMatrix a, which must be invertible, and
+    a BitVector b."""
 
-    n: int
-    a: BitMatrix
-    b: BitVector
+    __slots__ = ("n", "a", "b")
 
     def __post_init__(self):
         if self.a.rows != self.n or self.a.cols != self.n or self.b.n != self.n:
@@ -45,12 +43,10 @@ class AffineElement:
         return "\n".join([str(self.n)] + self.a.to_strings() + [str(self.b)])
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {0..2^n-1}, stored as the image tuple."""
+class Permutation(Value):
+    """A bijection of {0..2^n-1}, stored as the image tuple images."""
 
-    n: int
-    images: tuple[int, ...]
+    __slots__ = ("n", "images")
 
     def __post_init__(self):
         size = 1 << self.n

@@ -13,7 +13,6 @@ simultaneous row/column permutation), see fixed_space_log2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .anf import (
@@ -24,19 +23,15 @@ from .anf import (
     space_dimension,
     substitute,
 )
-from .gf2 import BitMatrix, rank, rank_of_rows
+from .gf2 import BitMatrix, Value, rank, rank_of_rows
 from .group import AffineElement
 
 
-@dataclass(frozen=True)
-class TauMatrix:
-    """The action matrix of one group element on one quotient space."""
+class TauMatrix(Value):
+    """The action matrix, a BitMatrix, of one group element source (an
+    AffineElement) on the quotient space with parameters (n, s, k)."""
 
-    n: int
-    s: int
-    k: int
-    matrix: BitMatrix
-    source: AffineElement
+    __slots__ = ("n", "s", "k", "matrix", "source")
 
     def __post_init__(self):
         d = space_dimension(self.n, self.s, self.k)

@@ -1,9 +1,11 @@
 import collections
 import itertools
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -670,6 +672,41 @@ def test_process_pool_is_loaded_only_when_used():
     assert burnside.ProcessPoolExecutor is ProcessPoolExecutor
     with pytest.raises(AttributeError, match="no_such_name"):
         burnside.no_such_name
+
+
+def test_count_loads_neither_dataclasses_nor_traceback():
+    # the value classes generate no code, and the CLI prints a traceback
+    # only on its exit-3 path; -S keeps site's imports out of the check
+    script = ("import sys, rmclass, rmclass.cli\n"
+              "rmclass.count(4, 4, 1)\n"
+              "print(sorted(m for m in ('dataclasses', 'traceback')\n"
+              "    if m in sys.modules))\n")
+    src = str(Path(rmclass.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == "[]"
+
+
+def test_count_through_spawned_workers(monkeypatch):
+    # spawned workers import rmclass afresh and unpickle the groups' value
+    # classes, as forkserver workers do by default from Python 3.14
+    started = []
+
+    def spawned_pool(max_workers):
+        started.append(max_workers)
+        return ProcessPoolExecutor(
+            max_workers, mp_context=multiprocessing.get_context("spawn"))
+
+    monkeypatch.setattr(burnside, "ProcessPoolExecutor", spawned_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pairs = all_pairs(6)
+    pooled = count_pairs(6, pairs, threads=2)
+    assert started == [2]
+    serial = count_pairs(6, pairs)
+    assert {w: r.count for w, r in pooled.items()} == \
+        {w: r.count for w, r in serial.items()}
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import all_elements, all_matrices
-from helpers_orbits import coset_reducer, sampled_fiber_orbits
+from helpers_orbits import coset_reducer, sampled_fiber_orbits, solve_commutant
 from rmclass import conjclasses
 from rmclass.conjclasses import (
     CellDecompositionError,
@@ -19,7 +19,12 @@ from rmclass.conjclasses import (
     irreducible_polys,
     rational_cells,
 )
-from rmclass.gf2 import identity as identity_matrix, mat_mul, rank
+from rmclass.gf2 import (
+    identity as identity_matrix,
+    mat_mul,
+    rank,
+    rank_of_rows,
+)
 from rmclass.linrep import fixed_space_log2, monomial_images
 from rmclass.group import (
     AffineElement,
@@ -216,6 +221,24 @@ def test_cell_builds_keep_no_hidden_state(monkeypatch):
         gl_classes(3)
     with pytest.raises(ArithmeticError):
         rational_cells(3)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_centralizer_order_counts_the_invertible_commutant(n):
+    # an independent witness for the cached per-part factors: every member
+    # of the commutant of the class rep, walked in Gray-code order (step i
+    # adds the basis matrix of i's lowest set bit), counted if invertible
+    for cls in gl_classes(n):
+        basis = [m.row_bits for m in solve_commutant(cls.rep)]
+        rows = (0,) * n
+        units = 0
+        for i in range(1, 1 << len(basis)):
+            step = basis[(i & -i).bit_length() - 1]
+            rows = tuple(r ^ t for r, t in zip(rows, step))
+            if rank_of_rows(rows, [0] * n) == n:
+                units += 1
+        assert conjclasses._centralizer_order(cls.assignment) == units
+        assert cls.centralizer == units
 
 
 # --- the closed-form fiber orbits against independent constructions --------
