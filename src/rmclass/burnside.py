@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import time
 from itertools import groupby
 
@@ -33,15 +34,108 @@ from .linrep import fixed_space_log2, monomial_images, translated_images
 PROVIDERS = ("exhaustive", "canonical", "import")
 
 
-def __getattr__(name):
-    # the process pool is imported on first use, so a serial count never
-    # loads concurrent.futures and multiprocessing; from then on, or once
-    # replaced, ProcessPoolExecutor is a plain module attribute
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _serve(fd: int, fn, args) -> None:
+    """The body of a forked worker: writes pickle.dumps((True, fn(*args)))
+    or, if fn raised, (False, the exception) to the pipe fd and leaves by
+    os._exit, so that it never returns into the caller's code nor flushes
+    the stdio buffers it inherited. A result or exception that cannot be
+    pickled or written leaves with status 1 and no result."""
+    code = 1
+    try:
+        import pickle
+        try:
+            data = pickle.dumps((True, fn(*args)))
+        except Exception as exc:
+            data = pickle.dumps((False, exc))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class ForkPool:
+    """A pool of forked processes for count_pairs, with the interface of
+    concurrent.futures.ProcessPoolExecutor that it uses: the max_workers
+    constructor, the context manager and an ordered map.
+
+    map runs its first call in the calling process and forks one child
+    per other call, each returning its result through a pipe; the caller
+    reads each pipe to EOF and reaps every child before map returns or
+    raises. A child's exception is raised again in the caller; a child
+    that ends without a result raises RuntimeError. If anything raises,
+    the children still running are killed first. Children are forked, so
+    they inherit the arguments and module state without pickling, and
+    only the results are pickled. Fork only where no other thread runs:
+    count_pairs checks that (_can_fork)."""
+
+    def __init__(self, max_workers: int):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables) -> list:
+        import pickle  # only a pooled count pays for it
+
+        first, *rest = zip(*iterables)
+        pids, fds = [], []
+        try:
+            for args in rest:
+                fd, w = os.pipe()
+                fds.append(fd)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(w, fn, args)
+                finally:
+                    os.close(w)
+                pids.append(pid)
+            results = [fn(*first)]
+            for i, fd in enumerate(fds):
+                with open(fd, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                status = os.waitpid(pids[i], 0)[1]
+                pids[i] = None
+                if not data:
+                    raise RuntimeError(f"pool worker {i + 1} ended without "
+                                       f"a result (wait status {status})")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                results.append(value)
+        except BaseException:
+            import signal
+            for pid in pids:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for fd in fds:
+                os.close(fd)
+            for pid in pids:
+                if pid is not None:
+                    os.waitpid(pid, 0)
+        return results
+
+
+# the name count_pairs looks the pool up by, at call time, so that a
+# test or the benchmark can put another executor in its place
+ProcessPoolExecutor = ForkPool
+
+
+def _can_fork() -> bool:
+    """True where os.fork exists and no thread but this one runs: a
+    child forked from a process with other threads may deadlock on a
+    lock one of them held."""
+    if not hasattr(os, "fork"):
+        return False
+    threading = sys.modules.get("threading")
+    return threading is None or threading.active_count() == 1
 
 
 class InexactDivisionError(ArithmeticError):
@@ -243,8 +337,9 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     coset (_peel_groups), and each distinct reduced element is eliminated
     once, over every window its cells need at any n, as
     _pair_partial_sums describes. With threads > 1 the groups go to at
-    most min(threads, groups, CPUs) worker processes, whole, dealt in
-    turn. A serial count never imports the process pool.
+    most min(threads, groups, CPUs) worker processes, the caller
+    included, whole, dealt in turn (ForkPool); one worker where os.fork
+    is missing or another thread runs. A serial count forks nothing.
 
     Given cells, or a cell file (provider import), hold one n, this n, so
     a triple for another n is a usage error. Given cells must partition
@@ -280,16 +375,16 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     # the groups hold all the sweep reads of the cells: drop the lists, so
     # that the sweep holds one copy of them
     del cells_by_n
-    # never more processes than groups or CPUs
+    # never more processes than groups or CPUs, the caller included, and
+    # none forked where fork is missing or unsafe
     workers = min(threads, len(groups), os.cpu_count() or 1)
+    if workers > 1 and not _can_fork():
+        workers = 1
     if workers > 1:
         # whole groups, so that each group's images are built in one
         # slice only
         slices = [groups[w::workers] for w in range(workers)]
-        # a value patched onto the module attribute wins over the import
-        executor = (globals().get("ProcessPoolExecutor")
-                    or __getattr__("ProcessPoolExecutor"))
-        with executor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_pair_partial_sums,
                                      [wanted_by_n] * workers, slices))
         sums = {m: [sum(p[m][i] for p in partials) for i in range(len(w))]

@@ -1,8 +1,10 @@
 import itertools
+import os
 import sys
 
 import pytest
 
+from rmclass import burnside
 from rmclass.burnside import InexactDivisionError, count
 from rmclass.conjclasses import ConjCell
 from rmclass.gf2 import BitMatrix, BitVector, rank
@@ -101,6 +103,58 @@ class FakePool:
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
+
+
+class SliceError(Exception):
+    """Raised by a patched slice; defined here so that a pool worker's
+    pickled exception unpickles to this class in the caller."""
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids that os.fork returns to this process during the test,
+    with os.cpu_count pinned to 2 so that a two-worker count forks."""
+    pids = []
+    real_fork = os.fork
+
+    def fork_spy():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return pids
+
+
+def in_workers(worker_slice):
+    """A slice function that runs worker_slice in forked pool workers and
+    the real slice in this process, the pool's caller."""
+    caller = os.getpid()
+    real = burnside._pair_partial_sums
+
+    def slice_fn(wanted, groups):
+        if os.getpid() == caller:
+            return real(wanted, groups)
+        return worker_slice(wanted, groups)
+
+    return slice_fn
+
+
+def assert_reaped(pids):
+    """Every forked pid is reaped, and no other child of this process has
+    ended unreaped. A child that is still alive is not an error of the
+    second check: a spawned multiprocessing pool leaves its resource
+    tracker running as a child of the test process."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    try:
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+    except ChildProcessError:
+        pass
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

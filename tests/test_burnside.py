@@ -5,12 +5,22 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from conftest import FakePool, all_elements, find_inexact_swap, make_example
+from conftest import (
+    FakePool,
+    SliceError,
+    all_elements,
+    assert_reaped,
+    find_inexact_swap,
+    in_workers,
+    make_example,
+)
 from helpers_oracle import (
     FROZEN_COUNTS,
     brute_class_count,
@@ -656,20 +666,34 @@ def test_count_rejects_bad_params():
 
 
 def test_process_pool_is_loaded_only_when_used():
-    # a serial count runs in the caller's process and never imports the
-    # pool; the pool stays readable as a module attribute
-    script = ("import sys, rmclass, rmclass.cli\n"
-              "rmclass.count(4, 4, 1)\n"
-              "print(sorted(m for m in ('concurrent.futures.process',\n"
-              "    'multiprocessing') if m in sys.modules))\n")
+    # a serial count runs in the caller's process and forks nothing; a
+    # pooled one forks its workers itself. Neither imports
+    # concurrent.futures or multiprocessing, and neither leaves a child.
+    # The CPU count is pinned so that the pooled count forks
     src = str(Path(rmclass.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120).stdout
-    assert out.strip() == "[]"
-    from concurrent.futures import ProcessPoolExecutor
-    assert burnside.ProcessPoolExecutor is ProcessPoolExecutor
+    for call, forks in (("rmclass.count(4, 4, 1)", 0),
+                        ("rmclass.count(6, 3, 1, threads=2)", 1)):
+        script = ("import os, sys, rmclass, rmclass.cli\n"
+                  "os.cpu_count = lambda: 2\n"
+                  "forks = []\n"
+                  "real_fork = os.fork\n"
+                  "os.fork = lambda: forks.append(1) or real_fork()\n"
+                  f"{call}\n"
+                  "try:\n"
+                  "    os.waitpid(-1, os.WNOHANG)\n"
+                  "except ChildProcessError:\n"
+                  "    pass\n"
+                  "else:\n"
+                  "    raise SystemExit('a child is left')\n"
+                  "print(len(forks), sorted(m for m in (\n"
+                  "    'concurrent.futures.process', 'multiprocessing')\n"
+                  "    if m in sys.modules))\n")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert out.strip() == f"{forks} []", call
+    assert burnside.ProcessPoolExecutor is burnside.ForkPool
     with pytest.raises(AttributeError, match="no_such_name"):
         burnside.no_such_name
 
@@ -690,8 +714,9 @@ def test_count_loads_neither_dataclasses_nor_traceback():
 
 
 def test_count_through_spawned_workers(monkeypatch):
-    # spawned workers import rmclass afresh and unpickle the groups' value
-    # classes, as forkserver workers do by default from Python 3.14
+    # the fork pool pickles no groups, but the seam must still accept any
+    # executor whose workers unpickle them: spawned workers import rmclass
+    # afresh and unpickle the groups' value classes
     started = []
 
     def spawned_pool(max_workers):
@@ -707,6 +732,80 @@ def test_count_through_spawned_workers(monkeypatch):
     serial = count_pairs(6, pairs)
     assert {w: r.count for w, r in pooled.items()} == \
         {w: r.count for w, r in serial.items()}
+
+
+def test_pool_raises_a_workers_exception(monkeypatch, forked):
+    # the class the worker raised, not a wrapper around it
+    def worker_slice(wanted, groups):
+        raise SliceError("slice failed in a worker")
+
+    monkeypatch.setattr(burnside, "_pair_partial_sums",
+                        in_workers(worker_slice))
+    with pytest.raises(SliceError, match="slice failed in a worker"):
+        count_pairs(6, all_pairs(6), threads=2)
+    assert_reaped(forked)
+
+
+def test_pool_worker_without_a_result(monkeypatch, forked):
+    def worker_slice(wanted, groups):
+        os._exit(1)
+
+    monkeypatch.setattr(burnside, "_pair_partial_sums",
+                        in_workers(worker_slice))
+    with pytest.raises(RuntimeError,
+                       match=r"worker 1 ended without a result "
+                             r"\(wait status 256\)"):
+        count_pairs(6, all_pairs(6), threads=2)
+    assert_reaped(forked)
+
+
+def test_pool_kills_its_workers_when_the_caller_raises(monkeypatch, forked):
+    # the worker would sleep for a minute; the caller's slice raises at
+    # once, so the worker is killed, not waited for
+    parent = os.getpid()
+
+    def slice_fn(wanted, groups):
+        if os.getpid() == parent:
+            raise SliceError("slice failed in the caller")
+        time.sleep(60)
+
+    monkeypatch.setattr(burnside, "_pair_partial_sums", slice_fn)
+    start = time.monotonic()
+    with pytest.raises(SliceError, match="in the caller"):
+        count_pairs(6, all_pairs(6), threads=2)
+    assert time.monotonic() - start < 30
+    assert_reaped(forked)
+
+
+def test_count_pairs_forks_nothing_beside_another_thread(monkeypatch,
+                                                         forked):
+    # a child forked while another thread runs may deadlock on a lock
+    # that thread held, so the count runs in this process alone
+    serial = {p: r.count for p, r in count_pairs(6, all_pairs(6)).items()}
+    pooled = count_pairs(6, all_pairs(6), threads=2)
+    assert {p: r.count for p, r in pooled.items()} == serial
+    assert len(forked) == 1
+    assert_reaped(forked)
+    forked.clear()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        got = count_pairs(6, all_pairs(6), threads=2)
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert forked == []
+    assert {p: r.count for p, r in got.items()} == serial
+
+
+def test_count_pairs_forks_nothing_without_fork(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = {p: r.count for p, r in count_pairs(6, all_pairs(6)).items()}
+    monkeypatch.delattr(os, "fork")
+    got = count_pairs(6, all_pairs(6), threads=2)
+    assert {p: r.count for p, r in got.items()} == serial
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from conftest import FakePool, TAU_ROWS, find_inexact_swap, make_example
+from conftest import (
+    FakePool,
+    SliceError,
+    TAU_ROWS,
+    assert_reaped,
+    find_inexact_swap,
+    in_workers,
+    make_example,
+)
 from rmclass import burnside, cli, conjclasses
 from rmclass.conjclasses import (
     affine_cells,
@@ -141,6 +149,23 @@ def test_verify_opens_one_pool(capsys, monkeypatch):
     assert FakePool.requested == [2]
     assert builds == [3, 4, 5, 6]
     assert capsys.readouterr().out == serial
+
+
+def test_verify_worker_failure_is_internal_error(capsys, monkeypatch,
+                                                forked):
+    # a slice that raises in a pool worker reaches the CLI as its own
+    # exception: exit 3, before any check line, and no worker is left
+    def worker_slice(wanted, groups):
+        raise SliceError("slice failed in a worker")
+
+    monkeypatch.setattr(burnside, "_pair_partial_sums",
+                        in_workers(worker_slice))
+    assert run_cli("verify", "--max-n", "6", "--threads", "2") == 3
+    captured = capsys.readouterr()
+    assert "check" not in captured.out
+    assert "internal error: slice failed in a worker" in captured.err
+    assert "SliceError" in captured.err
+    assert_reaped(forked)
 
 
 def test_verify_bad_window_is_usage_error(capsys, monkeypatch):
