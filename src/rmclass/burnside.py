@@ -3,7 +3,9 @@
 For each cell (one representative g, exact size) the number of coefficient
 vectors fixed by g is 2^(d - rank(tau_g xor I)); the class count is the
 size-weighted sum over cells divided by |AGL(n,2)|. The rank is taken
-with the free coordinates of g's linear part peeled (_peel_run).
+on the core of g only: its free coordinates and its odd-order blocks of
+order prime to the rest's are split off and enter through their level
+counts (_peel_run, _peel_plan).
 The canonical cells are the rational cells of conjclasses, unions of the
 conjugacy classes of the generators of one cyclic subgroup. Everything is
 exact integer arithmetic; a nonzero remainder in the final division means
@@ -27,7 +29,7 @@ from .conjclasses import (
     import_cells,
     rational_cells,
 )
-from .gf2 import BitMatrix, BitVector, Value
+from .gf2 import BitMatrix, BitVector, Value, order_and_fixes
 from .group import AffineElement, group_orders
 from .linrep import fixed_space_log2, monomial_images, translated_images
 
@@ -64,7 +66,9 @@ class ForkPool:
     per other call, each returning its result through a pipe; the caller
     reads each pipe to EOF and reaps every child before map returns or
     raises. A child's exception is raised again in the caller; a child
-    that ends without a result raises RuntimeError. If anything raises,
+    that ends without a result, or an OSError from os.pipe or os.fork,
+    raises RuntimeError naming the worker, an internal failure rather
+    than bad input. If anything raises,
     the children still running are killed first. Children are forked, so
     they inherit the arguments and module state without pickling, and
     only the results are pickled. Fork only where no other thread runs:
@@ -85,15 +89,19 @@ class ForkPool:
         first, *rest = zip(*iterables)
         pids, fds = [], []
         try:
-            for args in rest:
-                fd, w = os.pipe()
-                fds.append(fd)
+            for i, args in enumerate(rest, 1):
                 try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _serve(w, fn, args)
-                finally:
-                    os.close(w)
+                    fd, w = os.pipe()
+                    fds.append(fd)
+                    try:
+                        pid = os.fork()
+                        if pid == 0:
+                            _serve(w, fn, args)
+                    finally:
+                        os.close(w)
+                except OSError as exc:
+                    raise RuntimeError(f"pool worker {i} could not start: "
+                                       f"{exc}") from exc
                 pids.append(pid)
             results = [fn(*first)]
             for i, fd in enumerate(fds):
@@ -185,82 +193,179 @@ def _squeeze(bits: int, keep: int) -> int:
     return out
 
 
+def _part(rows: tuple[int, ...], keep: int) -> AffineElement:
+    """(A, 0) for the matrix A with these rows, restricted to the
+    coordinates set in the mask keep, rows and columns alike."""
+    m = keep.bit_count()
+    return AffineElement(m, BitMatrix(m, m, tuple(
+        _squeeze(row, keep) for i, row in enumerate(rows) if keep >> i & 1)),
+        BitVector(m, 0))
+
+
 def _peel_run(n: int, run: list[ConjCell]):
     """The one statement of the peel: a run of cells with equal linear
-    parts A, reduced by the free coordinates F of A, the coordinates whose
-    row and column of A are e_i, so that A = A_K + I_F on the kept ones K.
-    - A cell (A, b) with no bit of b in F leaves every x_i, i in F, alone;
-      it peels all of F and is (A_K, b_K) on m = n - |F| variables.
-    - A cell whose b touches F is conjugate to (A, b_K + e_y) for any y in
-      F, by a map that is linear on F, fixes K and commutes with A. It
-      keeps y as its affine coordinate, put on top, peels the other
-      |F| - 1 and is (A_K + 1, b_K + e_y) on m + 1 variables, however
-      many bits of F b has.
-    Returns the run's reduced zero coset (A_K, 0) on m variables, r = |F|,
+    parts A, split as A = I_F + A_1 + A_2 on coordinates F, V1 and K
+    taken from A itself. Its blocks are the connected components of its
+    coordinate graph (i ~ j when A_ij = 1 or A_ji = 1).
+    - F is the free coordinates, the blocks of one coordinate, whose
+      row and column of A are e_i. A cell (A, b) with no bit of b in F
+      leaves every x_i, i in F, alone and peels all of F. A cell whose b
+      touches F is conjugate to (A, b' + e_y) for any y in F, by a map
+      that is linear on F, fixes the rest and commutes with A: it keeps
+      y as its affine coordinate, put on top, and peels the other
+      |F| - 1, however many bits of F b has.
+    - V1 is the blocks of odd order with no nonzero fixed point whose
+      orders share no prime with the lcm of the orders of the blocks
+      outside V1 (dropping those that do until none is left). A xor I
+      is invertible on V1, so a translation conjugates b's part there
+      away, and g1 = (A_1, 0) has odd order prime to that of the rest
+      g2; <g> = <g1> x <g2>, so g's fixed vectors are the tensors of
+      g1's and g2's, level by level (_peel_plan). The same holds within
+      g1 between its parts, the blocks of V1 joined while their orders
+      share a prime.
+    - K, the rest, is the core. A rep with no block structure is one
+      block and all core.
+    Returns the run's core zero coset (A_2, 0) on m = |K| variables, the
+    parts (A_1, 0) of g1 by increasing coordinate mask, r = |F|,
     and (size, kept, b) per cell in order: kept is 1 when the cell keeps
-    y, and b is its reduced translation, with y as bit m."""
-    a = run[0].rep.a
-    keep = 0
-    for i, row in enumerate(a.row_bits):
-        if row != 1 << i:
-            keep |= row | 1 << i
-    m = keep.bit_count()
-    rows = tuple(_squeeze(row, keep) for i, row in enumerate(a.row_bits)
-                 if keep >> i & 1)
+    y, and b is its translation on K, with y as bit m."""
+    rows = run[0].rep.a.row_bits
+    blocks = []  # coordinate masks, merged row by row
+    for i, row in enumerate(rows):
+        block = row | 1 << i
+        for other in [b for b in blocks if b & block]:
+            blocks.remove(other)
+            block |= other
+        blocks.append(block)
+    free = sum(b for b in blocks if not b & b - 1)
+    orders = {b: order_and_fixes(tuple(_squeeze(rows[i], b)
+                                       for i in range(n) if b >> i & 1))
+              for b in blocks if b & b - 1}
+    split = {b for b, (order, fixes) in orders.items()
+             if order & 1 and not fixes}
+    while True:
+        rest = math.lcm(*(order for b, (order, _) in orders.items()
+                          if b not in split))
+        drop = {b for b in split if math.gcd(orders[b][0], rest) > 1}
+        if not drop:
+            break
+        split -= drop
+    parts = []  # (mask, order) of the blocks of V1 that share a prime
+    for b in sorted(split):
+        mask, order = b, orders[b][0]
+        for other in [p for p in parts if math.gcd(p[1], order) > 1]:
+            parts.remove(other)
+            mask, order = mask | other[0], math.lcm(order, other[1])
+        parts.append((mask, order))
+    core = (1 << n) - 1 ^ free ^ sum(split)
+    m = core.bit_count()
     peeled = []
     for cell in run:
         b = cell.rep.b.bits
-        kept = 1 if b & ~keep else 0
-        peeled.append((cell.size, kept, _squeeze(b, keep) | kept << m))
-    return (AffineElement(m, BitMatrix(m, m, rows), BitVector(m, 0)),
-            n - m, peeled)
+        kept = 1 if b & free else 0
+        peeled.append((cell.size, kept, _squeeze(b, core) | kept << m))
+    return (_part(rows, core),
+            tuple(_part(rows, mask) for mask, _ in sorted(parts)),
+            free.bit_count(), peeled)
 
 
 @functools.lru_cache(maxsize=256)
 def _peel_plan(plans: tuple[tuple[int, int, tuple[tuple[int, int], ...]],
                             ...]):
-    """The windows one reduced element is eliminated on, for the cells
-    that reduce to it at one or more n, as (windows, their smallest k,
-    their largest s, terms per plan). plans holds one (n, r, pairs) per n:
-    the cells at n peel r free coordinates to the element's m = n - r
-    variables. A y-monomial of degree j in the r free variables carries
-    the window shifted by j, so
-        fixdim_n(k, s) = sum_j C(r, j) fixdim_m(max(k - j, -1), min(s - j, m)),
-    and the terms of a pair are its (C(r, j), window index) for the
-    nonempty shifted windows; an empty one adds 0. The windows are the
-    union over the plans, in order of first use, so that one elimination
-    serves every n; with one plan and r = 0 they are its pairs."""
+    """The windows one core element is eliminated on, for the cells that
+    reduce to it at one or more n, as (windows, their smallest k, their
+    largest s, terms per plan). plans holds one (n, r, pairs) per n: the
+    cells at n peel r coordinates, free and split, to the element's
+    v = n - r variables. With N_l the dimension of the fixed space of
+    the peeled part on its degree-l functions modulo those of lower
+    degree (C(r, l) when all r are free), a level-l function times the
+    core's functions carries the window shifted by l, so
+        fixdim_n(k, s) = sum_l N_l fixdim_v(max(k - l, -1), min(s - l, v)),
+    and the terms of a pair are its (l, window index) for the nonempty
+    shifted windows, l in (k - v, s]; an empty one adds 0. N is not part
+    of the plan, so that one cached plan serves every peeled part of the
+    same size. The windows are the union over the plans, in order of
+    first use, so that one elimination serves every n; with one plan and
+    r = 0 they are its pairs."""
     windows: dict[tuple[int, int], int] = {}
     terms = []
     for n, r, pairs in plans:
-        m = n - r
+        v = n - r
         rows = []
         for k, s in pairs:
             row = []
-            for j in range(r + 1):
-                w = (max(k - j, -1), min(s - j, m))
+            for l in range(r + 1):
+                w = (max(k - l, -1), min(s - l, v))
                 if w[0] < w[1]:
-                    row.append((math.comb(r, j),
-                                windows.setdefault(w, len(windows))))
+                    row.append((l, windows.setdefault(w, len(windows))))
             rows.append(tuple(row))
         terms.append(tuple(rows))
     return (tuple(windows), min(k for k, _ in windows),
             max(s for _, s in windows), tuple(terms))
 
 
-def _peel_groups(cells_by_n: dict[int, list[ConjCell]]):
+def _level_counts(r: int, parts) -> tuple[int, ...]:
+    """N for r free coordinates and split parts with the level counts
+    parts: the levels of a product are the sums of its factors' levels,
+    so N is the convolution of the parts' counts and the binomials
+    C(r, j)."""
+    out = tuple(math.comb(r, j) for j in range(r + 1))
+    for counts in parts:
+        conv = [0] * (len(out) + len(counts) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(counts):
+                conv[i + j] += x * y
+        out = tuple(conv)
+    return out
+
+
+def _peel_groups(cells_by_n: dict[int, list[ConjCell]],
+                 wanted_by_n: dict[int, tuple[tuple[int, int], ...]]):
     """The cells of every n, peeled run by run (_peel_run) and grouped by
-    their exact reduced zero coset (A_K, 0), keyed by m and the rows of
-    A_K: a list of (zero, {n: [(size, kept, b), ...]}) in order of first
-    appearance. Runs with equal keys share a group, whatever their n or
-    their place in the list."""
+    their exact core zero coset (A_2, 0), keyed by m and the rows of A_2:
+    a list of (zero, {n: [(size, b, N), ...]}) in order of first
+    appearance, where b is the cell's core translation, with a kept y as
+    bit m, and N its level counts (_peel_plan). Runs with equal keys share
+    a group, whatever their n, their split part or their place in the
+    list.
+
+    Each distinct part of a split part g1 makes one fixed_space_log2
+    call on its windows (l - 1, l], for only the levels l that some pair
+    of some n reads: l in (k - (n - u), s] for a part on u variables,
+    since the rest of the cell's peeled coordinates and its core fill
+    the other n - u. N is those lists convolved with each other and with
+    the binomials of the cell's free coordinates (_level_counts)."""
     groups: dict[tuple, tuple] = {}
+    hulls: dict[tuple[int, ...], list] = {}  # part's rows -> [part, lo, hi]
     for n, cells in cells_by_n.items():
+        k0 = min(k for k, _ in wanted_by_n[n])
+        top = max(s for _, s in wanted_by_n[n])
         for _, run in groupby(cells, key=lambda c: c.rep.a):
-            zero, _, peeled = _peel_run(n, list(run))
-            _, by_n = groups.setdefault((zero.n, zero.a.row_bits),
-                                        (zero, {}))
-            by_n.setdefault(n, []).extend(peeled)
+            zero, parts, r, peeled = _peel_run(n, list(run))
+            for part in parts:
+                lo, hi = max(k0 + 1 - n + part.n, 0), min(top, part.n)
+                hull = hulls.setdefault(part.a.row_bits, [part, lo, hi])
+                hull[1], hull[2] = min(hull[1], lo), max(hull[2], hi)
+            _, by_n = groups.setdefault((zero.n, zero.a.row_bits), (zero, {}))
+            # (free coordinates peeled, the parts' rows) for N, by kept
+            key = tuple(part.a.row_bits for part in parts)
+            shapes = ((r, key), (r - 1, key))
+            by_n.setdefault(n, []).extend((size, b, shapes[kept])
+                                          for size, kept, b in peeled)
+    counts = {}  # part's rows -> its level counts, 0 where unread
+    for key, (part, lo, hi) in hulls.items():
+        images = monomial_images(part, hi, lo - 1)
+        counts[key] = ((0,) * lo + tuple(fixed_space_log2(
+            images, part.n, [(l - 1, l) for l in range(lo, hi + 1)]))
+            + (0,) * (part.n - hi))
+    levels = {}  # (free coordinates, the parts' rows) -> N, one tuple each
+    for _, by_n in groups.values():
+        for cells in by_n.values():
+            for i, (size, b, (r, key)) in enumerate(cells):
+                if (r, key) not in levels:
+                    levels[r, key] = _level_counts(
+                        r, [counts[rows] for rows in key])
+                cells[i] = (size, b, levels[r, key])
     return list(groups.values())
 
 
@@ -269,40 +374,42 @@ def _pair_partial_sums(wanted_by_n: dict[int, tuple[tuple[int, int], ...]],
     """Size-weighted fixed-point sums of a slice of groups (_peel_groups),
     one list per n of wanted_by_n, one entry per pair of that n.
 
-    A group's images are built once, for its reduced zero coset, on the
+    A group's images are built once, for its core zero coset, on the
     union of the windows that the full peel leaves at each of its n. Each
-    distinct reduced element (kept, b) of the group, at any n, makes one
+    distinct core element (kept, b) of the group, at any n, makes one
     fixed_space_log2 call on the union of the windows its cells need
     (_peel_plan), and derives its images from the group's
     (translated_images) when b != 0; a kept y is bit m of b. Such an
     element peels one coordinate fewer, which moves its windows up at
     most a degree, so the build for the full peel serves it too. Each
-    cell's n-variable fixdims are convolved from that one list."""
+    cell's n-variable fixdims are convolved from that one list with the
+    cell's level counts N."""
     sums = {n: [0] * len(pairs) for n, pairs in wanted_by_n.items()}
     for zero, by_n in groups:
         m = zero.n
         _, k0, top, _ = _peel_plan(tuple((n, n - m, wanted_by_n[n])
                                          for n in by_n))
         base = monomial_images(zero, top, k0)
-        # reduced b, with a kept y as bit m -> {n: summed cell sizes}
-        elements: dict[int, dict[int, int]] = {}
-        for n, peeled in by_n.items():
-            for size, _, b in peeled:
-                sizes = elements.setdefault(b, {})
-                sizes[n] = sizes.get(n, 0) + size
-        for b, sizes in elements.items():
+        # core b, with a kept y as bit m -> {n: {N: summed cell sizes}}
+        elements: dict[int, dict[int, dict[tuple, int]]] = {}
+        for n, cells in by_n.items():
+            for size, b, levels in cells:
+                sizes = elements.setdefault(b, {}).setdefault(n, {})
+                sizes[levels] = sizes.get(levels, 0) + size
+        for b, sizes_by_n in elements.items():
             v = m + (b >> m)  # the element's variables
             windows, k, s, terms = _peel_plan(tuple(
-                (n, n - v, wanted_by_n[n]) for n in sizes))
+                (n, n - v, wanted_by_n[n]) for n in sizes_by_n))
             images = translated_images(base, m, b, s, k) if b else base
             fixdims = fixed_space_log2(images, v, windows)
-            for (n, size), rows in zip(sizes.items(), terms):
+            for (n, sizes), rows in zip(sizes_by_n.items(), terms):
                 acc = sums[n]
-                for i, row in enumerate(rows):
-                    fixdim = 0
-                    for c, w in row:
-                        fixdim += c * fixdims[w]
-                    acc[i] += size << fixdim
+                for levels, size in sizes.items():
+                    for i, row in enumerate(rows):
+                        fixdim = 0
+                        for l, w in row:
+                            fixdim += levels[l] * fixdims[w]
+                        acc[i] += size << fixdim
     return sums
 
 
@@ -333,10 +440,11 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     cell count. Every result carries the elapsed time of the whole sweep,
     over all n, which starts once every n's cells are built and checked.
 
-    The cells of every n are peeled and grouped by their reduced zero
-    coset (_peel_groups), and each distinct reduced element is eliminated
-    once, over every window its cells need at any n, as
-    _pair_partial_sums describes. With threads > 1 the groups go to at
+    The cells of every n are peeled and grouped by their core zero coset
+    (_peel_groups), and each distinct core element is eliminated once,
+    over every window its cells need at any n, as _pair_partial_sums
+    describes; each distinct split part is eliminated once, before, on
+    the levels they read. With threads > 1 the groups go to at
     most min(threads, groups, CPUs) worker processes, the caller
     included, whole, dealt in turn (ForkPool); one worker where os.fork
     is missing or another thread runs. A serial count forks nothing.
@@ -371,7 +479,7 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
                   for m in wanted_by_n}
     ncells = {m: len(listed) for m, listed in cells_by_n.items()}
     start = time.perf_counter()
-    groups = _peel_groups(cells_by_n)
+    groups = _peel_groups(cells_by_n, wanted_by_n)
     # the groups hold all the sweep reads of the cells: drop the lists, so
     # that the sweep holds one copy of them
     del cells_by_n

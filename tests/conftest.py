@@ -144,13 +144,18 @@ def in_workers(worker_slice):
 
 def assert_reaped(pids):
     """Every forked pid is reaped, and no other child of this process has
-    ended unreaped. A child that is still alive is not an error of the
-    second check: a spawned multiprocessing pool leaves its resource
-    tracker running as a child of the test process."""
+    ended unreaped (assert_no_ended_child)."""
     assert pids
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+    assert_no_ended_child()
+
+
+def assert_no_ended_child():
+    """No child of this process has ended unreaped. A child that is still
+    alive is not an error: a spawned multiprocessing pool leaves its
+    resource tracker running as a child of the test process."""
     try:
         assert os.waitpid(-1, os.WNOHANG) == (0, 0)
     except ChildProcessError:

@@ -4,13 +4,16 @@ Deliberately independent of the package internals: a point of GF(2)^n is
 the index built with coordinate 1 as the high bit, a Boolean function is
 a truth-table int of 2^n bits (bit i = value at point i), and group
 elements are permutation tuples grown by closure from a few generators.
-point_fixdims alone takes a package element, and only its matrix-vector
-product; it indexes points as the monomial masks do, bit j = coordinate
-j + 1, so that one subset transform pairs the two.
+point_fixdims and invariant_fixdims alone take a package element:
+point_fixdims uses only its matrix-vector product, invariant_fixdims
+only its row and translation bits. Both index points as the monomial
+masks do, bit j = coordinate j + 1, so that one subset transform pairs
+the two.
 """
 
 import functools
 import itertools
+from math import gcd
 
 from rmclass.gf2 import BitVector, mat_vec
 
@@ -231,3 +234,93 @@ FROZEN_COUNTS = {
     3: {(-1, 0): 2, (-1, 1): 3, (-1, 2): 6, (-1, 3): 10, (0, 1): 2,
         (0, 2): 4, (0, 3): 6, (1, 2): 2, (1, 3): 3, (2, 3): 2},
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _graded_layout(n: int):
+    """The monomials of n variables in graded order, by degree and then
+    mask: the degree at each place, and up[x], the graded bit mask of the
+    monomials u >= x (u & x == x), which is the ANF of the indicator of
+    point x (the product of y_i over i in x and of y_i + 1 over the
+    rest)."""
+    order = sorted(range(1 << n), key=lambda u: (u.bit_count(), u))
+    place = {u: p for p, u in enumerate(order)}
+    up = [sum(1 << place[u] for u in order if u & x == x)
+          for x in range(1 << n)]
+    return [u.bit_count() for u in order], up
+
+
+def invariant_fixdims(g, pairs) -> list[int]:
+    """d - rank(tau_g xor I) on each window (k, s] of pairs, through the
+    invariants of g's odd-order part, from the point map x -> Ax xor b
+    alone: no substitution, no monomial images and no peel.
+
+    With t the 2-part of ord(g), s = g^t has odd order, so taking
+    s-invariants is exact: the fixed vectors of s on R(s')/R(k') are
+    V_s'/V_k', where V_i holds the functions of degree <= i constant on
+    every s-cycle of points. Fix(g) lies in Fix(s), and g permutes the
+    s-cycles, so fixdim(k', s') is the fixed dimension of g on
+    V_s'/V_k'. A g-cycle of length L splits into gcd(L, t) s-cycles,
+    point i going to s-cycle i mod gcd(L, t), and g moves s-cycle j to
+    j + 1. The indicators of the s-cycles span V; one elimination with
+    graded pivots (the highest monomial in graded order) gives a basis
+    adapted to degree, each vector w at the level of its pivot's degree,
+    carrying (g - 1)w beside it (here for g^-1, which fixes the same
+    vectors). Then, as in the engine, the (g - 1)w are eliminated level
+    by level, and fixdim(k', s') = #(levels in (k', s']) - #(pivots of
+    degree in (k', s'] once the levels <= s' are in)."""
+    n = g.n
+    degree_at, up = _graded_layout(n)
+    rows_a = g.a.row_bits
+    point = [sum(((row & x).bit_count() & 1) << i
+                 for i, row in enumerate(rows_a)) ^ g.b.bits
+             for x in range(1 << n)]
+    seen = [False] * (1 << n)
+    cycles = []
+    for x in range(1 << n):
+        cycle = []
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = point[x]
+        if cycle:
+            cycles.append(cycle)
+    order = 1
+    for cycle in cycles:
+        order = order * len(cycle) // gcd(order, len(cycle))
+    t = order & -order
+    basis = {}  # pivot place -> (w, (g - 1) w)
+    for cycle in cycles:
+        c = gcd(len(cycle), t)
+        anfs = [0] * c
+        for i, x in enumerate(cycle):
+            anfs[i % c] ^= up[x]
+        for j in range(c):
+            w, dw = anfs[j], anfs[(j + 1) % c] ^ anfs[j]
+            while w:  # the indicators are independent: w never reaches 0
+                p = w.bit_length() - 1
+                if p not in basis:
+                    basis[p] = (w, dw)
+                    break
+                w ^= basis[p][0]
+                dw ^= basis[p][1]
+    levels = [0] * (n + 1)
+    by_level = [[] for _ in range(n + 1)]
+    for p, (_, dw) in basis.items():
+        levels[degree_at[p]] += 1
+        by_level[degree_at[p]].append(dw)
+    pivots = {}  # pivot place -> row
+    per_degree = [0] * (n + 1)
+    snap = []
+    for rows in by_level:
+        for dw in rows:
+            while dw:
+                p = dw.bit_length() - 1
+                if p not in pivots:
+                    pivots[p] = dw
+                    per_degree[degree_at[p]] += 1
+                    break
+                dw ^= pivots[p]
+        snap.append(per_degree.copy())
+    return [sum(levels[k + 1:s + 1]) - sum(snap[s][k + 1:s + 1])
+            for k, s in pairs]

@@ -1,5 +1,8 @@
 import collections
+import errno
+import functools
 import itertools
+import math
 import multiprocessing
 import os
 import random
@@ -24,6 +27,7 @@ from conftest import (
 from helpers_oracle import (
     FROZEN_COUNTS,
     brute_class_count,
+    invariant_fixdims,
     orbit_count,
     point_fixdims,
     valid_pairs,
@@ -50,7 +54,8 @@ from rmclass.conjclasses import (
     rational_cells,
 )
 from rmclass.cli import load_oracle
-from rmclass.gf2 import BitMatrix, BitVector, mat_vec
+from rmclass.gf2 import BitMatrix, BitVector, mat_mul, mat_vec, rank
+from rmclass.gf2 import identity as gf2_identity
 from rmclass.group import (
     AffineElement,
     conjugate,
@@ -217,10 +222,12 @@ def test_pair_partial_sums_any_pair_order():
 
 
 def partial_sums(n, pairs, cells):
-    """_pair_partial_sums over the cells of one n, grouped as count_pairs
-    groups them: the size-weighted sums, one per pair."""
-    groups = burnside._peel_groups({n: cells})
-    return burnside._pair_partial_sums({n: tuple(pairs)}, groups)[n]
+    """_pair_partial_sums over the cells of one n, peeled and grouped by
+    core as count_pairs groups them: the size-weighted sums, one per
+    pair."""
+    wanted = {n: tuple(pairs)}
+    groups = burnside._peel_groups({n: cells}, wanted)
+    return burnside._pair_partial_sums(wanted, groups)[n]
 
 
 def fresh_partial_sums(n, pairs, cells):
@@ -286,29 +293,125 @@ def squeeze(bits, kept):
     return sum((bits >> j & 1) << t for t, j in enumerate(kept))
 
 
-def reduced_zero_coset(run):
-    """(A_K, 0): the linear part of a run with its own free coordinates
-    deleted, whatever the translations of the run's cells."""
+def blocks(a):
+    """The connected components of the coordinate graph of A, i ~ j when
+    A_ij = 1 or A_ji = 1, as increasing lists, by union-find over the
+    entries."""
+    parent = list(range(a.rows))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(a.rows):
+        for j in range(a.rows):
+            if a.row(i)[j]:
+                parent[root(i)] = root(j)
+    comps = collections.defaultdict(list)
+    for i in range(a.rows):
+        comps[root(i)].append(i)
+    return sorted(comps.values())
+
+
+def restrict(a, coords):
+    """A restricted to the coordinates coords, rows and columns alike."""
+    return BitMatrix.from_rows([[a.row(i)[j] for j in coords]
+                                for i in coords], len(coords))
+
+
+@functools.lru_cache(maxsize=None)
+def matrix_order(m):
+    """The multiplicative order of an invertible BitMatrix, by repeated
+    multiplication."""
+    power, order = m, 1
+    while power != gf2_identity(m.rows):
+        power, order = mat_mul(power, m), order + 1
+    return order
+
+
+def split_coordinates(a):
+    """V1 of A: the blocks of more than one coordinate of odd order on
+    which A xor I has full rank, less any whose order shares a prime with
+    the lcm of the orders of the blocks outside, until none does."""
+    parts = [(c, restrict(a, c)) for c in blocks(a) if len(c) > 1]
+    split = [(c, b) for c, b in parts if matrix_order(b) % 2
+             and rank(b ^ gf2_identity(len(c))) == len(c)]
+    while True:
+        rest = math.lcm(*(matrix_order(b) for c, b in parts
+                          if (c, b) not in split))
+        kept = [(c, b) for c, b in split
+                if math.gcd(matrix_order(b), rest) == 1]
+        if kept == split:
+            return sorted(i for c, _ in split for i in c)
+        split = kept
+
+
+def core_coordinates(a):
+    """The coordinates that are neither free nor split."""
+    peeled = free_coordinates(a) + split_coordinates(a)
+    return [i for i in range(a.rows) if i not in peeled]
+
+
+def core_zero_coset(run):
+    """(A_2, 0): the linear part of a run restricted to its core, whatever
+    the translations of the run's cells."""
     a = run[0].rep.a
-    free = free_coordinates(a)
-    kept = [i for i in range(a.rows) if i not in free]
-    m = len(kept)
-    rows = tuple(squeeze(a.row(i).bits, kept) for i in kept)
-    return AffineElement(m, BitMatrix(m, m, rows), BitVector(m, 0))
+    core = core_coordinates(a)
+    return AffineElement(len(core), restrict(a, core), BitVector(len(core)))
+
+
+def split_parts(run):
+    """The parts (A_1, 0) of the linear part of a run restricted to V1:
+    the connected components of V1's blocks under "their orders share a
+    prime", by union-find, ordered by coordinate mask."""
+    a = run[0].rep.a
+    split = split_coordinates(a)
+    v1 = [c for c in blocks(a) if c[0] in split]
+    parent = list(range(len(v1)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(v1)), 2):
+        if math.gcd(matrix_order(restrict(a, v1[i])),
+                    matrix_order(restrict(a, v1[j]))) > 1:
+            parent[root(i)] = root(j)
+    parts = collections.defaultdict(list)
+    for i, c in enumerate(v1):
+        parts[root(i)] += c
+    return [AffineElement(len(c), restrict(a, sorted(c)), BitVector(len(c)))
+            for c in sorted(parts.values(),
+                            key=lambda c: sum(1 << i for i in c))]
+
+
+def expected_builds(cells):
+    """The monomial_images calls of one sweep over cells: one per distinct
+    part of a split part, for its level counts, in order of first
+    appearance, then one per distinct core zero coset."""
+    parts, cores = [], []
+    for run in runs(cells):
+        parts += [p for p in split_parts(run) if p not in parts]
+        if core_zero_coset(run) not in cores:
+            cores.append(core_zero_coset(run))
+    return parts + cores
 
 
 def peeled_variables(g):
-    """The variables g is eliminated on: n less the free coordinates of
-    its A, plus one kept as the affine coordinate when b has a bit in
-    them."""
+    """The variables g is left with after the peel of its free
+    coordinates alone: n less the free coordinates of its A, plus one
+    kept as the affine coordinate when b has a bit in them."""
     free = free_coordinates(g.a)
     return g.n - len(free) + any(g.b[i] for i in free)
 
 
 def test_pair_partial_sums_reuse_imported_linear_parts(monkeypatch, tmp_path):
     # read back from a file, the cells of one linear part hold equal but
-    # distinct BitMatrix objects; they still share one image build, with
-    # the sums of a build per cell
+    # distinct BitMatrix objects; they still share one image build per
+    # core group and one per split part, with the sums of a build per
+    # cell
     n = 5
     path = tmp_path / "cells.txt"
     export_cells(affine_cells(n), path)
@@ -324,7 +427,7 @@ def test_pair_partial_sums_reuse_imported_linear_parts(monkeypatch, tmp_path):
 
     monkeypatch.setattr(burnside, "monomial_images", spy)
     got = partial_sums(n, pairs, cells)
-    assert built == [reduced_zero_coset(run) for run in runs(cells)]
+    assert built == expected_builds(cells)
     assert got == fresh_partial_sums(n, pairs, cells)
 
 
@@ -343,8 +446,9 @@ def conjugated_cells(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_images_are_built_once_per_run_in_any_order_or_basis(monkeypatch, n):
-    # the conjugated runs still make one build per run, for their reduced
-    # (A, 0), and give the pinned counts
+    # the conjugated runs still make one build per core group, for its
+    # (A_2, 0), and one per split part, taken from A itself in whatever
+    # basis, and give the pinned counts
     cells = conjugated_cells(n)
     assert any(c.rep.b.bits & (c.rep.b.bits - 1) for c in cells)
     built = []
@@ -355,63 +459,77 @@ def test_images_are_built_once_per_run_in_any_order_or_basis(monkeypatch, n):
 
     monkeypatch.setattr(burnside, "monomial_images", spy)
     got = count_pairs(n, all_pairs(n), cells=cells)
-    assert built == [reduced_zero_coset(run) for run in runs(cells)]
+    assert built == expected_builds(cells)
     assert {p: r.count for p, r in got.items()} == pinned_windows()[n]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_peel_run_matches_the_helpers(n):
     # the engine's one statement of the peel against the helpers here:
-    # the zero coset, which cells keep y, their reduced translations with
-    # y as bit m, and the rows each feeds to elimination, for the built
-    # lists and for runs conjugated into another basis
+    # the core zero coset, the split part, which cells keep y, their core
+    # translations with y as bit m, and the rows each feeds to
+    # elimination, for the built lists and for runs conjugated into
+    # another basis
     lists = [rational_cells(n), affine_cells(n)]
     if n >= 3:
         lists.append(conjugated_cells(n))
     kept_any = False
     for cells in lists:
         for run in runs(cells):
-            zero, r, peeled = burnside._peel_run(n, list(run))
+            zero, parts, r, peeled = burnside._peel_run(n, list(run))
             free = free_coordinates(run[0].rep.a)
-            kept = [i for i in range(n) if i not in free]
-            m = len(kept)
-            assert zero == reduced_zero_coset(run), str(run[0].rep)
+            core = core_coordinates(run[0].rep.a)
+            m = len(core)
+            assert zero == core_zero_coset(run), str(run[0].rep)
+            assert list(parts) == split_parts(run), str(run[0].rep)
             assert (r, zero.n) == (len(free), m)
             assert len(peeled) == len(run)
             for cell, (size, keeps, b) in zip(run, peeled):
                 touches = int(any(cell.rep.b[i] for i in free))
                 assert size == cell.size
                 assert keeps == touches, str(cell.rep)
-                assert b == squeeze(cell.rep.b.bits, kept) | touches << m
-                assert 1 << (m + keeps) == 1 << peeled_variables(cell.rep)
+                assert b == squeeze(cell.rep.b.bits, core) | touches << m
+                assert m + keeps == \
+                    peeled_variables(cell.rep) - sum(p.n for p in parts)
                 kept_any |= bool(touches)
     assert kept_any
 
 
 def reduced_elements(n):
-    """The reduced element of every rational cell at n, as (variables,
-    rows of its linear part, translation): a kept y adds the row e_m."""
+    """The reduction of every rational cell at n, as (core element, rows
+    of the parts of its split part, free coordinates peeled). The core
+    element is (variables, rows of its linear part, translation), and a
+    kept y adds the row e_m."""
     elements = []
     for run in runs(rational_cells(n)):
-        zero, _, peeled = burnside._peel_run(n, list(run))
+        zero, parts, r, peeled = burnside._peel_run(n, list(run))
         m = zero.n
+        key = tuple(part.a.row_bits for part in parts)
         for _, kept, b in peeled:
-            elements.append((m + kept, zero.a.row_bits + (1 << m,) * kept, b))
+            core = (m + kept, zero.a.row_bits + (1 << m,) * kept, b)
+            elements.append((core, key, r - kept))
     return elements
 
 
 def test_reduced_elements_are_distinct_and_nested():
-    # within one n no two rational cells reduce to the same element, and
-    # every element reduced at n - 1 is reduced at n too
-    previous = set()
-    sizes = []
+    # within one n no two rational cells reduce to the same core element,
+    # split parts and free coordinates, and every core element and part
+    # at n - 1 is one at n too. Many cells share a core element or a part
+    cores, parts = set(), set()
+    sizes, core_sizes, part_sizes = [], [], []
     for n in range(1, 11):
         elements = reduced_elements(n)
         assert len(set(elements)) == len(elements), n
-        assert previous <= set(elements), n
-        previous = set(elements)
+        assert cores <= {core for core, _, _ in elements}, n
+        assert parts <= {p for _, key, _ in elements for p in key}, n
+        cores = {core for core, _, _ in elements}
+        parts = {p for _, key, _ in elements for p in key}
         sizes.append(len(elements))
+        core_sizes.append(len(cores))
+        part_sizes.append(len(parts))
     assert sizes == [2, 5, 10, 22, 40, 80, 140, 260, 447, 790]
+    assert core_sizes == [2, 4, 7, 13, 21, 37, 58, 98, 154, 253]
+    assert part_sizes == [0, 1, 2, 5, 6, 13, 14, 27, 35, 57]
 
 
 def all_windows(top):
@@ -430,12 +548,13 @@ def test_sweep_eliminates_each_reduced_element_once(monkeypatch, windows):
     # one count_pairs over every window of n = 1..8, and over the
     # reference rows of n <= 8 as verify counts them, where the smallest n
     # of a group may need narrower windows than the largest: the rational
-    # cells of all n reduce to the 260 elements of n = 8, and each is
-    # eliminated once, on the union of the windows its cells need at
-    # every n. Each fixdim must equal a fresh elimination of the element
-    # itself on those windows. Within a group, an element with b != 0
-    # derives its images right before its elimination; one with b = 0
-    # reads the group's build
+    # cells of all n reduce to the 98 core elements of n = 8 and its split
+    # parts. Each core element is eliminated once, on the union of the
+    # windows its cells need at every n, and each split part once, on the
+    # levels they read. Each fixdim must equal a fresh elimination of the
+    # element itself on those windows. Within a group, an element with
+    # b != 0 derives its images right before its elimination; one with
+    # b = 0 reads the group's build, and a split part its own
     zero, derived, seen = None, [], []
 
     def build_spy(g, *args, real=burnside.monomial_images):
@@ -466,7 +585,10 @@ def test_sweep_eliminates_each_reduced_element_once(monkeypatch, windows):
         assert fixed_space_log2(monomial_images(g), v, windows) == fixdims, \
             str(g)
         elements.append((v, rows, b))
-    assert sorted(elements) == sorted(reduced_elements(8))
+    reduced = reduced_elements(8)
+    cores = {core for core, _, _ in reduced}
+    parts = {(len(p), p, 0) for _, key, _ in reduced for p in key}
+    assert sorted(elements) == sorted([*cores, *parts])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -509,17 +631,22 @@ def test_count_pairs_rejects_bad_windows(tmp_path):
 
 
 def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
+    # the cells of n = 5 make 8 core groups: 8 threads on 64 CPUs are
+    # capped by neither, 9 by the groups
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
-    serial = {p: r.count for p, r in count_pairs(4, all_pairs(4)).items()}
+    pairs = tuple(all_pairs(5))
+    assert len(burnside._peel_groups({5: rational_cells(5)},
+                                     {5: pairs})) == 8
+    serial = {p: r.count for p, r in count_pairs(5, pairs).items()}
     for cpus, threads, workers in [(3, 1000, 3), (3, 2, 2), (None, 8, 1),
-                                   (1, 8, 1), (64, 8, 8)]:
+                                   (1, 8, 1), (64, 8, 8), (64, 9, 8)]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         FakePool.requested = []
-        got = count_pairs(4, all_pairs(4), threads=threads)
+        got = count_pairs(5, pairs, threads=threads)
         assert {p: r.count for p, r in got.items()} == serial
         # one worker runs in the caller's process, without a pool
         assert FakePool.requested == ([workers] if workers > 1 else [])
-    # never more workers than groups of one reduced zero coset: n = 1 has
+    # never more workers than groups of one core zero coset: n = 1 has
     # one
     FakePool.requested = []
     count(1, 1, -1, threads=8)
@@ -529,11 +656,11 @@ def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
     # each run of cells with one linear part is peeled once, and its cells
-    # go to the group of its reduced zero coset; each group goes whole to
-    # one slice, and only its (A, 0), reduced by the free coordinates of
-    # A, builds images; every cell derives its own from them. The runs of
-    # the rational cells of one n have distinct zero cosets, so each run
-    # is a group of its own
+    # go to the group of its core zero coset, which runs of several linear
+    # parts share; each group goes whole to one slice, and only its
+    # (A_2, 0), A restricted to its core, builds images; every cell
+    # derives its own from them. Each split part builds its images once,
+    # before the slices, for its level counts
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     built, slices, peeled = [], [], []
@@ -563,16 +690,26 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         assert FakePool.requested == ([2] if threads == 2 else [])
         assert len(slices) == threads
         cells = rational_cells(n)
-        zero_cosets = [reduced_zero_coset(run) for run in runs(cells)]
-        assert sorted(map(str, built)) == sorted(map(str, zero_cosets))
+        assert sorted(map(str, built)) == \
+            sorted(map(str, expected_builds(cells)))
         assert sorted(peeled, key=str) == sorted(runs(cells), key=str)
-        # run i of the whole list is group i, and lands in slice
-        # i mod threads
+        # the group of the i-th distinct core lands in slice i mod
+        # threads, and holds the cells of its runs in order, with their
+        # core translations
+        by_core = {}
+        for run in runs(cells):
+            a = run[0].rep.a
+            free, core = free_coordinates(a), core_coordinates(a)
+            by_core.setdefault(core_zero_coset(run), []).extend(
+                (c.size, squeeze(c.rep.b.bits, core)
+                 | any(c.rep.b[i] for i in free) << len(core))
+                for c in run)
+        assert len(by_core) < len(runs(cells))
         for w, part in enumerate(slices):
-            assert part == [(zero, {n: real_peel(n, list(run))[2]})
-                            for i, (zero, run) in enumerate(
-                                zip(zero_cosets, runs(cells)))
-                            if i % threads == w]
+            assert [zero for zero, _ in part] == list(by_core)[w::threads]
+            for zero, by_n in part:
+                assert [(size, b) for size, b, _ in by_n[n]] == \
+                    by_core[zero]
 
 
 def test_count_pairs_rejects_threads_below_one():
@@ -777,6 +914,39 @@ def test_pool_kills_its_workers_when_the_caller_raises(monkeypatch, forked):
     assert_reaped(forked)
 
 
+def test_pool_kills_its_workers_when_another_cannot_start(monkeypatch,
+                                                         forked):
+    # three workers: the first fork succeeds, the second fails with
+    # EAGAIN; the pool kills and reaps the first worker and raises a
+    # RuntimeError naming the second. A failed pipe raises the same way
+    # before any fork
+    spy, calls = os.fork, []
+
+    def fork_once():
+        calls.append(1)
+        if len(calls) > 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return spy()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with pytest.raises(RuntimeError,
+                       match=rf"pool worker 2 could not start: "
+                             rf"\[Errno {errno.EAGAIN}\]"):
+        count_pairs(6, all_pairs(6), threads=3)
+    assert len(calls) == 2
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    with pytest.raises(RuntimeError, match="pool worker 1 could not start"):
+        count_pairs(6, all_pairs(6), threads=3)
+    assert len(calls) == 2
+
+
 def test_count_pairs_forks_nothing_beside_another_thread(monkeypatch,
                                                          forked):
     # a child forked while another thread runs may deadlock on a lock
@@ -828,20 +998,117 @@ def test_fixdims_match_the_point_permutation_oracle(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_peeled_fixdims_equal_direct_elimination(n):
-    # a one-cell slice of an element with r free coordinates is eliminated
-    # on m = n - r variables and convolved back; every window must match
-    # the elimination of the unreduced element
+    # a one-cell slice of an element with r free coordinates or a split
+    # part is eliminated on its core and convolved back with its level
+    # counts; every window must match the elimination of the unreduced
+    # element, for the built lists and for runs conjugated into another
+    # basis
     pairs = tuple(all_pairs(n))
-    peeled = 0
-    for cells in (rational_cells(n), affine_cells(n)):
+    peeled = split = 0
+    lists = [rational_cells(n), affine_cells(n)]
+    if n >= 3:
+        lists.append(conjugated_cells(n))
+    for cells in lists:
         for cell in cells:
-            if not free_coordinates(cell.rep.a):
+            parted = split_coordinates(cell.rep.a)
+            if not free_coordinates(cell.rep.a) and not parted:
                 continue
             peeled += 1
+            split += bool(parted)
             direct = fixed_space_log2(monomial_images(cell.rep), n, pairs)
             got = partial_sums(n, pairs, [ConjCell(cell.rep, 1)])
             assert got == [1 << f for f in direct], str(cell.rep)
     assert peeled > 0
+    assert split > 0 or n == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_fixdims_match_the_invariant_witness(n):
+    # every rational cell through the engine's whole path (peel, split,
+    # level counts, derivation, convolution) against invariant_fixdims on
+    # the unreduced rep, which works from the point map alone and shares
+    # no code with the images, the peel or the split
+    pairs = tuple(all_pairs(n))
+    for cell in rational_cells(n):
+        want = invariant_fixdims(cell.rep, pairs)
+        assert partial_sums(n, pairs, [ConjCell(cell.rep, 1)]) == \
+            [1 << f for f in want], str(cell.rep)
+
+
+def test_split_counts():
+    # the rational cells whose linear part splits off a part V1, by the
+    # engine and, at n = 8, by the helpers here
+    for n, want in ((8, 162), (9, 293), (10, 537)):
+        cells = rational_cells(n)
+        got = sum(len(run) for run in runs(cells)
+                  if burnside._peel_run(n, list(run))[1])
+        assert (got, len(cells)) == (want, {8: 260, 9: 447, 10: 790}[n])
+    assert sum(bool(split_coordinates(c.rep.a))
+               for c in rational_cells(8)) == 162
+
+
+def direct_sum(*blocks):
+    """The block-diagonal matrix of the blocks, each a list of 0/1
+    strings, in order along the diagonal."""
+    n = sum(len(b) for b in blocks)
+    rows, off = [], 0
+    for b in blocks:
+        rows += ["0" * off + row + "0" * (n - off - len(b)) for row in b]
+        off += len(b)
+    return BitMatrix.from_strings(rows)
+
+
+# companion blocks of x^2 + x + 1 (order 3), x^3 + x + 1 (order 7) and
+# x^4 + x + 1 (order 15), a connected block of order 3 that fixes a
+# nonzero vector (its characteristic polynomial is (x + 1)(x^2 + x + 1)),
+# a unipotent block of order 2 and a free coordinate
+ORDER_3 = ["01", "11"]
+ORDER_7 = ["001", "101", "010"]
+ORDER_15 = ["0001", "1001", "0100", "0010"]
+ORDER_3_FIXING = ["100", "001", "111"]
+UNIPOTENT = ["10", "11"]
+FREE = ["1"]
+
+
+def test_split_takes_only_coprime_blocks_without_fixed_points():
+    # which blocks split, and every translation of each linear part, on
+    # V1 and off it, against the unreduced element's own elimination and
+    # the invariant witness:
+    # - the order-3 block that fixes a vector stays in the core beside a
+    #   split block of order 7, and a translation along its fixed vector
+    #   cannot be conjugated away;
+    # - beside it, the companion block of order 3 stays in the core too,
+    #   since their orders share the prime 3;
+    # - beside a unipotent block (order 2), the order-3 block splits, and
+    #   its part of b is dropped;
+    # - blocks of orders 3 and 7 split as two parts, whose level counts
+    #   convolve, and blocks of orders 3 and 15 as one part
+    assert [matrix_order(BitMatrix.from_strings(b))
+            for b in (ORDER_3, ORDER_7, ORDER_15, ORDER_3_FIXING)] == \
+        [3, 7, 15, 3]
+    assert rank(BitMatrix.from_strings(ORDER_3_FIXING)
+                ^ gf2_identity(3)) < 3
+    assert blocks(BitMatrix.from_strings(ORDER_3_FIXING)) == [[0, 1, 2]]
+    for a, parts, r in ((direct_sum(ORDER_3_FIXING, ORDER_7), [3], 0),
+                        (direct_sum(ORDER_3, ORDER_3_FIXING), [], 0),
+                        (direct_sum(UNIPOTENT, ORDER_3), [2], 0),
+                        (direct_sum(UNIPOTENT, ORDER_3, ORDER_7), [2, 3], 0),
+                        (direct_sum(FREE, ORDER_3, ORDER_15), [6], 1)):
+        n = a.rows
+        pairs = tuple(all_pairs(n))
+        cells = [ConjCell(AffineElement(n, a, BitVector(n, b)), 1)
+                 for b in range(1 << n)]
+        zero, got, free, _ = burnside._peel_run(n, cells)
+        assert [p.n for p in got] == parts
+        assert list(got) == split_parts(cells)
+        assert (zero.n, free) == (n - sum(parts) - r, r)
+        for cell in cells:
+            want = fixed_space_log2(monomial_images(cell.rep), n, pairs)
+            assert invariant_fixdims(cell.rep, pairs) == want
+            assert partial_sums(n, pairs, [cell]) == \
+                [1 << f for f in want], str(cell.rep)
+        assert partial_sums(n, pairs, cells) == \
+            fresh_partial_sums(n, pairs, cells)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -897,8 +1164,9 @@ def test_built_runs_hold_at_most_one_cell_that_keeps_a_coordinate():
 def test_run_with_several_cells_that_keep_a_coordinate(monkeypatch):
     # no built list makes such a run: b on each of two free coordinates,
     # on both, and with and without bits on the others, plus the zero
-    # coset and a cell that peels all of F. Still one build, for (A_K, 0),
-    # and the sums of a build per cell
+    # coset and a cell that peels all of F. Still one build for its core
+    # (A_2, 0) and one for its split part, and the sums of a build per
+    # cell
     n = 5
     a = next(c.rep for c in gl_classes(n)
              if len(free_coordinates(c.rep)) == 2)
@@ -919,7 +1187,7 @@ def test_run_with_several_cells_that_keep_a_coordinate(monkeypatch):
 
     monkeypatch.setattr(burnside, "monomial_images", spy)
     got = partial_sums(n, pairs, cells)
-    assert built == [reduced_zero_coset(cells)]
+    assert built == expected_builds(cells)
     assert got == fresh_partial_sums(n, pairs, cells)
 
 

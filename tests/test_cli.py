@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import subprocess
@@ -9,6 +10,7 @@ from conftest import (
     FakePool,
     SliceError,
     TAU_ROWS,
+    assert_no_ended_child,
     assert_reaped,
     find_inexact_swap,
     in_workers,
@@ -166,6 +168,24 @@ def test_verify_worker_failure_is_internal_error(capsys, monkeypatch,
     assert "internal error: slice failed in a worker" in captured.err
     assert "SliceError" in captured.err
     assert_reaped(forked)
+
+
+def test_count_failed_fork_is_internal_error(capsys, monkeypatch, forked):
+    # a pool worker that cannot be forked is a failed resource, not bad
+    # input: exit 3 naming the worker, not 2, and no child is left
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_cli("count", "--n", "5", "--s", "3", "--k", "1",
+                   "--threads", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "internal error: pool worker 1 could not start: "
+        f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}")
+    assert forked == []
+    assert_no_ended_child()
 
 
 def test_verify_bad_window_is_usage_error(capsys, monkeypatch):

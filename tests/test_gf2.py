@@ -13,6 +13,7 @@ from rmclass.gf2 import (
     inverse,
     mat_mul,
     mat_vec,
+    order_and_fixes,
     rank,
     rank_of_rows,
 )
@@ -273,3 +274,19 @@ def test_solve_commutant_exhaustive_cross_check():
             if mat_mul(x := BitMatrix(3, 3, (bits & 7, (bits >> 3) & 7, bits >> 6)), a)
             == mat_mul(a, x))
         assert 1 << len(solve_commutant(a)) == expected
+
+
+def test_order_and_fixes_match_repeated_multiplication():
+    # every invertible matrix up to 3x3 and 200 random ones up to 7x7:
+    # the order by multiplying until the identity, and a nonzero fixed
+    # vector exactly when A xor I is singular
+    rng = random.Random(5)
+    sampled = [random_matrix(rng.randrange(4, 8), rng) for _ in range(200)]
+    matrices = [m for n in (1, 2, 3) for m in all_matrices(n)]
+    matrices += [m for m in sampled if rank(m) == m.rows]
+    for m in matrices:
+        power, order = m, 1
+        while power != identity(m.rows):
+            power, order = mat_mul(power, m), order + 1
+        fixes = rank(m ^ identity(m.rows)) < m.rows
+        assert order_and_fixes(m.row_bits) == (order, fixes), str(m)
