@@ -29,7 +29,7 @@ from .conjclasses import (
     import_cells,
     rational_cells,
 )
-from .gf2 import BitMatrix, BitVector, Value, order_and_fixes
+from .gf2 import BitMatrix, BitVector, Value, order_and_fixes, rank_of_rows
 from .group import AffineElement, group_orders
 from .linrep import fixed_space_log2, monomial_images, translated_images
 
@@ -58,9 +58,9 @@ def _serve(fd: int, fn, args) -> None:
 
 
 class ForkPool:
-    """A pool of forked processes for count_pairs, with the interface of
-    concurrent.futures.ProcessPoolExecutor that it uses: the max_workers
-    constructor, the context manager and an ordered map.
+    """A pool of forked processes for both rounds of count_pairs, with the
+    interface of concurrent.futures.ProcessPoolExecutor that it uses: the
+    max_workers constructor, the context manager and an ordered map.
 
     map runs its first call in the calling process and forks one child
     per other call, each returning its result through a pipe; the caller
@@ -72,7 +72,7 @@ class ForkPool:
     the children still running are killed first. Children are forked, so
     they inherit the arguments and module state without pickling, and
     only the results are pickled. Fork only where no other thread runs:
-    count_pairs checks that (_can_fork)."""
+    _workers checks that (_can_fork)."""
 
     def __init__(self, max_workers: int):
         self.max_workers = max_workers
@@ -131,8 +131,8 @@ class ForkPool:
         return results
 
 
-# the name count_pairs looks the pool up by, at call time, so that a
-# test or the benchmark can put another executor in its place
+# the name _pooled looks the pool up by, at call time, so that a test or
+# the benchmark can put another executor in its place
 ProcessPoolExecutor = ForkPool
 
 
@@ -151,7 +151,8 @@ class InexactDivisionError(ArithmeticError):
 
 
 class CountResult(Value):
-    """One (n, s, k), its class count, its cells and its sweep's seconds."""
+    """One (n, s, k), its class count, its cells and the seconds of the
+    count_pairs call that made it, cell build included."""
 
     __slots__ = ("n", "s", "k", "count", "cells", "elapsed")
 
@@ -193,13 +194,17 @@ def _squeeze(bits: int, keep: int) -> int:
     return out
 
 
-def _part(rows: tuple[int, ...], keep: int) -> AffineElement:
-    """(A, 0) for the matrix A with these rows, restricted to the
+def _restrict(rows: tuple[int, ...], keep: int) -> tuple[int, ...]:
+    """The rows of the matrix with these rows restricted to the
     coordinates set in the mask keep, rows and columns alike."""
-    m = keep.bit_count()
-    return AffineElement(m, BitMatrix(m, m, tuple(
-        _squeeze(row, keep) for i, row in enumerate(rows) if keep >> i & 1)),
-        BitVector(m, 0))
+    return tuple(_squeeze(row, keep) for i, row in enumerate(rows)
+                 if keep >> i & 1)
+
+
+def _zero_coset(rows: tuple[int, ...]) -> AffineElement:
+    """(A, 0) for the square matrix A with these rows."""
+    m = len(rows)
+    return AffineElement(m, BitMatrix(m, m, rows), BitVector(m, 0))
 
 
 def _peel_run(n: int, run: list[ConjCell]):
@@ -225,10 +230,10 @@ def _peel_run(n: int, run: list[ConjCell]):
       share a prime.
     - K, the rest, is the core. A rep with no block structure is one
       block and all core.
-    Returns the run's core zero coset (A_2, 0) on m = |K| variables, the
-    parts (A_1, 0) of g1 by increasing coordinate mask, r = |F|,
-    and (size, kept, b) per cell in order: kept is 1 when the cell keeps
-    y, and b is its translation on K, with y as bit m."""
+    Returns plain data, cheap to pickle: the rows of A_2 on m = |K|
+    variables, the rows of each part A_1 of g1 by increasing coordinate
+    mask, r = |F|, and (size, kept, b) per cell in order: kept is 1 when
+    the cell keeps y, and b is its translation on K, with y as bit m."""
     rows = run[0].rep.a.row_bits
     blocks = []  # coordinate masks, merged row by row
     for i, row in enumerate(rows):
@@ -238,21 +243,25 @@ def _peel_run(n: int, run: list[ConjCell]):
             block |= other
         blocks.append(block)
     free = sum(b for b in blocks if not b & b - 1)
-    orders = {b: order_and_fixes(tuple(_squeeze(rows[i], b)
-                                       for i in range(n) if b >> i & 1))
-              for b in blocks if b & b - 1}
-    split = {b for b, (order, fixes) in orders.items()
-             if order & 1 and not fixes}
+    restricted = {b: _restrict(rows, b) for b in blocks if b & b - 1}
+    # a block with a nonzero fixed point, rank(B xor I) < d, never
+    # splits; the orders, from a table of 2^d images per block, are read
+    # only where some block has none
+    split = {b for b, r in restricted.items() if rank_of_rows(
+        [row ^ 1 << i for i, row in enumerate(r)]) == len(r)}
+    orders = ({b: order_and_fixes(r)[0] for b, r in restricted.items()}
+              if split else {})
+    split = {b for b in split if orders[b] & 1}
     while True:
-        rest = math.lcm(*(order for b, (order, _) in orders.items()
+        rest = math.lcm(*(order for b, order in orders.items()
                           if b not in split))
-        drop = {b for b in split if math.gcd(orders[b][0], rest) > 1}
+        drop = {b for b in split if math.gcd(orders[b], rest) > 1}
         if not drop:
             break
         split -= drop
     parts = []  # (mask, order) of the blocks of V1 that share a prime
     for b in sorted(split):
-        mask, order = b, orders[b][0]
+        mask, order = b, orders[b]
         for other in [p for p in parts if math.gcd(p[1], order) > 1]:
             parts.remove(other)
             mask, order = mask | other[0], math.lcm(order, other[1])
@@ -264,8 +273,8 @@ def _peel_run(n: int, run: list[ConjCell]):
         b = cell.rep.b.bits
         kept = 1 if b & free else 0
         peeled.append((cell.size, kept, _squeeze(b, core) | kept << m))
-    return (_part(rows, core),
-            tuple(_part(rows, mask) for mask, _ in sorted(parts)),
+    return (_restrict(rows, core),
+            tuple(_restrict(rows, mask) for mask, _ in sorted(parts)),
             free.bit_count(), peeled)
 
 
@@ -319,45 +328,55 @@ def _level_counts(r: int, parts) -> tuple[int, ...]:
     return out
 
 
-def _peel_groups(cells_by_n: dict[int, list[ConjCell]],
+def _part_levels(part: AffineElement, lo: int, hi: int) -> tuple[int, ...]:
+    """The level counts N_l = fixdim(l - 1, l) of a split part on u
+    variables for l in [lo, hi], 0 at the other levels of 0..u. Duality
+    holds per element, fixdim(k, s) = fixdim(u - 1 - s, u - 1 - k), so
+    N_l = N_(u-l): one fixed_space_log2 call eliminates only the levels
+    min(l, u - l), with its images pruned to them."""
+    u = part.n
+    half = sorted({min(l, u - l) for l in range(lo, hi + 1)})
+    images = monomial_images(part, half[-1], half[0] - 1)
+    fixdims = dict(zip(half, fixed_space_log2(
+        images, u, [(l - 1, l) for l in half])))
+    return tuple(fixdims[min(l, u - l)] if lo <= l <= hi else 0
+                 for l in range(u + 1))
+
+
+def _peel_groups(runs_by_n: dict[int, list],
                  wanted_by_n: dict[int, tuple[tuple[int, int], ...]]):
-    """The cells of every n, peeled run by run (_peel_run) and grouped by
-    their exact core zero coset (A_2, 0), keyed by m and the rows of A_2:
-    a list of (zero, {n: [(size, b, N), ...]}) in order of first
-    appearance, where b is the cell's core translation, with a kept y as
-    bit m, and N its level counts (_peel_plan). Runs with equal keys share
-    a group, whatever their n, their split part or their place in the
-    list.
+    """The peeled runs of every n (_peel_run) grouped by their exact core
+    zero coset (A_2, 0), keyed by the rows of A_2: a list of
+    (zero, {n: [(size, b, N), ...]}) in order of first appearance, where
+    b is the cell's core translation, with a kept y as bit m, and N its
+    level counts (_peel_plan). Runs with equal keys share a group,
+    whatever their n, their split part or their place in the list, and
+    one AffineElement is built per distinct core and part.
 
     Each distinct part of a split part g1 makes one fixed_space_log2
-    call on its windows (l - 1, l], for only the levels l that some pair
-    of some n reads: l in (k - (n - u), s] for a part on u variables,
-    since the rest of the cell's peeled coordinates and its core fill
-    the other n - u. N is those lists convolved with each other and with
-    the binomials of the cell's free coordinates (_level_counts)."""
-    groups: dict[tuple, tuple] = {}
-    hulls: dict[tuple[int, ...], list] = {}  # part's rows -> [part, lo, hi]
-    for n, cells in cells_by_n.items():
+    call (_part_levels) for only the levels l that some pair of some n
+    reads: l in (k - (n - u), s] for a part on u variables, since the
+    rest of the cell's peeled coordinates and its core fill the other
+    n - u. N is those lists convolved with each other and with the
+    binomials of the cell's free coordinates (_level_counts)."""
+    groups: dict[tuple[int, ...], tuple] = {}
+    hulls: dict[tuple[int, ...], list[int]] = {}  # part's rows -> [lo, hi]
+    for n, runs in runs_by_n.items():
         k0 = min(k for k, _ in wanted_by_n[n])
         top = max(s for _, s in wanted_by_n[n])
-        for _, run in groupby(cells, key=lambda c: c.rep.a):
-            zero, parts, r, peeled = _peel_run(n, list(run))
-            for part in parts:
-                lo, hi = max(k0 + 1 - n + part.n, 0), min(top, part.n)
-                hull = hulls.setdefault(part.a.row_bits, [part, lo, hi])
-                hull[1], hull[2] = min(hull[1], lo), max(hull[2], hi)
-            _, by_n = groups.setdefault((zero.n, zero.a.row_bits), (zero, {}))
+        for core, parts, r, peeled in runs:
+            for rows in parts:
+                lo, hi = max(k0 + 1 - n + len(rows), 0), min(top, len(rows))
+                hull = hulls.setdefault(rows, [lo, hi])
+                hull[0], hull[1] = min(hull[0], lo), max(hull[1], hi)
+            if core not in groups:
+                groups[core] = (_zero_coset(core), {})
             # (free coordinates peeled, the parts' rows) for N, by kept
-            key = tuple(part.a.row_bits for part in parts)
-            shapes = ((r, key), (r - 1, key))
-            by_n.setdefault(n, []).extend((size, b, shapes[kept])
-                                          for size, kept, b in peeled)
-    counts = {}  # part's rows -> its level counts, 0 where unread
-    for key, (part, lo, hi) in hulls.items():
-        images = monomial_images(part, hi, lo - 1)
-        counts[key] = ((0,) * lo + tuple(fixed_space_log2(
-            images, part.n, [(l - 1, l) for l in range(lo, hi + 1)]))
-            + (0,) * (part.n - hi))
+            shapes = ((r, parts), (r - 1, parts))
+            groups[core][1].setdefault(n, []).extend(
+                (size, b, shapes[kept]) for size, kept, b in peeled)
+    counts = {rows: _part_levels(_zero_coset(rows), lo, hi)
+              for rows, (lo, hi) in hulls.items()}
     levels = {}  # (free coordinates, the parts' rows) -> N, one tuple each
     for _, by_n in groups.values():
         for cells in by_n.values():
@@ -430,6 +449,50 @@ def _checked_cells(n: int, provider: str, file, cells) -> list[ConjCell]:
     return cells
 
 
+def _peeled_share(share, provider: str, file, cells) -> dict[int, tuple]:
+    """The first round of a count, for the n of one share: each n's cells,
+    built and checked (_checked_cells) and peeled run by run (_peel_run),
+    as {n: (number of cells, [peeled run, ...])}, plain data that a pool
+    worker returns pickled."""
+    out = {}
+    for n in share:
+        listed = _checked_cells(n, provider, file, cells)
+        out[n] = (len(listed), [_peel_run(n, list(run)) for _, run
+                                in groupby(listed, key=lambda c: c.rep.a)])
+    return out
+
+
+def _deal(ns, workers: int) -> list[list[int]]:
+    """The n of a count in shares for workers processes: largest n first,
+    each to the share with the smallest sum of 2^n so far, the lower on a
+    tie, since the cells about double with n. Each share is increasing,
+    and none is empty while workers <= len(ns)."""
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for n in sorted(ns, reverse=True):
+        w = loads.index(min(loads))
+        shares[w].insert(0, n)
+        loads[w] += 1 << n
+    return shares
+
+
+def _workers(threads: int, tasks: int) -> int:
+    """Never more processes than tasks or CPUs, the caller included, and
+    none forked where fork is missing or unsafe."""
+    workers = min(threads, tasks, os.cpu_count() or 1)
+    return workers if workers == 1 or _can_fork() else 1
+
+
+def _pooled(fn, *iterables) -> list:
+    """fn over the shares, one per entry of the iterables, in order: in
+    the caller alone for one share, else through a pool of one worker per
+    share."""
+    if len(iterables[0]) == 1:
+        return [fn(*args) for args in zip(*iterables)]
+    with ProcessPoolExecutor(max_workers=len(iterables[0])) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 def count_pairs(n: int, pairs, provider: str = "canonical", *,
                 threads: int = 1, file=None,
                 cells=None) -> dict[tuple, CountResult]:
@@ -437,17 +500,20 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     the images and the eliminations. Each entry of pairs is a (k, s) for
     this n or a triple (m, k, s) for any 1 <= m <= n; the result maps each
     entry, as a tuple, to its CountResult, which carries its own n and
-    cell count. Every result carries the elapsed time of the whole sweep,
-    over all n, which starts once every n's cells are built and checked.
+    cell count. Every result carries the elapsed time of the whole count,
+    over all n, which starts before the cells are built.
 
-    The cells of every n are peeled and grouped by their core zero coset
-    (_peel_groups), and each distinct core element is eliminated once,
-    over every window its cells need at any n, as _pair_partial_sums
-    describes; each distinct split part is eliminated once, before, on
-    the levels they read. With threads > 1 the groups go to at
-    most min(threads, groups, CPUs) worker processes, the caller
-    included, whole, dealt in turn (ForkPool); one worker where os.fork
-    is missing or another thread runs. A serial count forks nothing.
+    A count runs in two rounds. In the first, the cells of every n are
+    built, checked and peeled (_peeled_share); in the second, the groups
+    are swept (_pair_partial_sums). Between them the caller groups the
+    peeled runs by their core zero coset and eliminates each distinct
+    split part once, on the levels they read (_peel_groups); each
+    distinct core element is eliminated once in the sweep, over every
+    window its cells need at any n. With threads > 1 each round goes to
+    at most min(threads, its tasks, CPUs) worker processes, the caller
+    included (ForkPool): the n dealt by _deal, then the groups, whole,
+    dealt in turn. One worker where os.fork is missing or another thread
+    runs; a round with one worker forks nothing.
 
     Given cells, or a cell file (provider import), hold one n, this n, so
     a triple for another n is a usage error. Given cells must partition
@@ -475,41 +541,30 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     if other and (cells is not None or provider == "import"):
         raise ValueError(f"the cells given or read from a file hold n={n} "
                          f"only, not n={min(other)}")
-    cells_by_n = {m: _checked_cells(m, provider, file, cells)
-                  for m in wanted_by_n}
-    ncells = {m: len(listed) for m, listed in cells_by_n.items()}
     start = time.perf_counter()
-    groups = _peel_groups(cells_by_n, wanted_by_n)
-    # the groups hold all the sweep reads of the cells: drop the lists, so
-    # that the sweep holds one copy of them
-    del cells_by_n
-    # never more processes than groups or CPUs, the caller included, and
-    # none forked where fork is missing or unsafe
-    workers = min(threads, len(groups), os.cpu_count() or 1)
-    if workers > 1 and not _can_fork():
-        workers = 1
-    if workers > 1:
-        # whole groups, so that each group's images are built in one
-        # slice only
-        slices = [groups[w::workers] for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_pair_partial_sums,
-                                     [wanted_by_n] * workers, slices))
-        sums = {m: [sum(p[m][i] for p in partials) for i in range(len(w))]
-                for m, w in wanted_by_n.items()}
-    else:
-        sums = _pair_partial_sums(wanted_by_n, groups)
+    shares = _deal(wanted_by_n, _workers(threads, len(wanted_by_n)))
+    peeled = {}
+    for share in _pooled(_peeled_share, shares, [provider] * len(shares),
+                         [file] * len(shares), [cells] * len(shares)):
+        peeled.update(share)
+    groups = _peel_groups({m: peeled[m][1] for m in wanted_by_n},
+                          wanted_by_n)
+    workers = _workers(threads, len(groups))
+    # whole groups, so that each group's images are built in one slice
+    partials = _pooled(_pair_partial_sums, [wanted_by_n] * workers,
+                       [groups[w::workers] for w in range(workers)])
     elapsed = time.perf_counter() - start
     results = {}
     for m, w in wanted_by_n.items():
         order = group_orders(m)[1]
-        for (k, s), acc in zip(w, sums[m]):
+        for i, (k, s) in enumerate(w):
+            acc = sum(p[m][i] for p in partials)
             q, rem = divmod(acc, order)
             if rem or q < 1:
                 raise InexactDivisionError(
                     f"n={m} s={s} k={k}: Burnside sum {acc} leaves "
                     f"remainder {rem} mod |AGL({m},2)| and quotient {q}")
-            results[m, k, s] = CountResult(m, s, k, q, ncells[m],
+            results[m, k, s] = CountResult(m, s, k, q, peeled[m][0],
                                            elapsed)
     return {p: results[w] for p, w in zip(entries, windows)}
 

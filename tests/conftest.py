@@ -88,9 +88,11 @@ def find_inexact_swap(n: int, cells: list[ConjCell]):
 
 class FakePool:
     """Stands in for ProcessPoolExecutor: records the requested worker
-    count and runs the slices in this process, starting nothing."""
+    count, and the name and share count of each map, and runs the shares
+    in this process, starting nothing."""
 
     requested = []
+    mapped = []
 
     def __init__(self, max_workers):
         FakePool.requested.append(max_workers)
@@ -102,7 +104,9 @@ class FakePool:
         return False
 
     def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        shares = list(zip(*iterables))
+        FakePool.mapped.append((fn.__name__, len(shares)))
+        return [fn(*args) for args in shares]
 
 
 class SliceError(Exception):
@@ -128,38 +132,35 @@ def forked(monkeypatch):
     return pids
 
 
-def in_workers(worker_slice):
-    """A slice function that runs worker_slice in forked pool workers and
-    the real slice in this process, the pool's caller."""
+def in_workers(worker_fn, name="_pair_partial_sums"):
+    """A stand-in for burnside's function name, the slice function of the
+    sweep by default, that runs worker_fn in forked pool workers and the
+    real function in this process, the pool's caller."""
     caller = os.getpid()
-    real = burnside._pair_partial_sums
+    real = getattr(burnside, name)
 
-    def slice_fn(wanted, groups):
+    def share_fn(*args):
         if os.getpid() == caller:
-            return real(wanted, groups)
-        return worker_slice(wanted, groups)
+            return real(*args)
+        return worker_fn(*args)
 
-    return slice_fn
+    return share_fn
 
 
 def assert_reaped(pids):
-    """Every forked pid is reaped, and no other child of this process has
-    ended unreaped (assert_no_ended_child)."""
+    """Every forked pid is reaped, and this process has no child left
+    (assert_no_child)."""
     assert pids
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
-    assert_no_ended_child()
+    assert_no_child()
 
 
-def assert_no_ended_child():
-    """No child of this process has ended unreaped. A child that is still
-    alive is not an error: a spawned multiprocessing pool leaves its
-    resource tracker running as a child of the test process."""
-    try:
-        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
-    except ChildProcessError:
-        pass
+def assert_no_child():
+    """This process has no child at all, alive or ended unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,14 +3,12 @@ import errno
 import functools
 import itertools
 import math
-import multiprocessing
 import os
 import random
 import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -221,13 +219,20 @@ def test_pair_partial_sums_any_pair_order():
     assert partial_sums(n, pairs, cells) == want
 
 
+def core_groups(n, pairs, cells):
+    """The cells of one n, peeled run by run and grouped by core as
+    count_pairs groups them."""
+    return burnside._peel_groups(
+        {n: [burnside._peel_run(n, list(run)) for run in runs(cells)]},
+        {n: tuple(pairs)})
+
+
 def partial_sums(n, pairs, cells):
-    """_pair_partial_sums over the cells of one n, peeled and grouped by
-    core as count_pairs groups them: the size-weighted sums, one per
-    pair."""
+    """_pair_partial_sums over core_groups: the size-weighted sums, one
+    per pair."""
     wanted = {n: tuple(pairs)}
-    groups = burnside._peel_groups({n: cells}, wanted)
-    return burnside._pair_partial_sums(wanted, groups)[n]
+    return burnside._pair_partial_sums(wanted,
+                                       core_groups(n, pairs, cells))[n]
 
 
 def fresh_partial_sums(n, pairs, cells):
@@ -466,10 +471,11 @@ def test_images_are_built_once_per_run_in_any_order_or_basis(monkeypatch, n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_peel_run_matches_the_helpers(n):
     # the engine's one statement of the peel against the helpers here:
-    # the core zero coset, the split part, which cells keep y, their core
-    # translations with y as bit m, and the rows each feeds to
-    # elimination, for the built lists and for runs conjugated into
-    # another basis
+    # the rows of the core zero coset and of the split parts, which cells
+    # keep y, their core translations with y as bit m, and the rows each
+    # feeds to elimination, for the built lists and for runs conjugated
+    # into another basis, where most blocks fix a nonzero vector and no
+    # block order is computed
     lists = [rational_cells(n), affine_cells(n)]
     if n >= 3:
         lists.append(conjugated_cells(n))
@@ -480,9 +486,10 @@ def test_peel_run_matches_the_helpers(n):
             free = free_coordinates(run[0].rep.a)
             core = core_coordinates(run[0].rep.a)
             m = len(core)
-            assert zero == core_zero_coset(run), str(run[0].rep)
-            assert list(parts) == split_parts(run), str(run[0].rep)
-            assert (r, zero.n) == (len(free), m)
+            assert zero == core_zero_coset(run).a.row_bits, str(run[0].rep)
+            assert list(parts) == [p.a.row_bits for p in split_parts(run)], \
+                str(run[0].rep)
+            assert (r, len(zero)) == (len(free), m)
             assert len(peeled) == len(run)
             for cell, (size, keeps, b) in zip(run, peeled):
                 touches = int(any(cell.rep.b[i] for i in free))
@@ -490,7 +497,7 @@ def test_peel_run_matches_the_helpers(n):
                 assert keeps == touches, str(cell.rep)
                 assert b == squeeze(cell.rep.b.bits, core) | touches << m
                 assert m + keeps == \
-                    peeled_variables(cell.rep) - sum(p.n for p in parts)
+                    peeled_variables(cell.rep) - sum(map(len, parts))
                 kept_any |= bool(touches)
     assert kept_any
 
@@ -503,11 +510,10 @@ def reduced_elements(n):
     elements = []
     for run in runs(rational_cells(n)):
         zero, parts, r, peeled = burnside._peel_run(n, list(run))
-        m = zero.n
-        key = tuple(part.a.row_bits for part in parts)
+        m = len(zero)
         for _, kept, b in peeled:
-            core = (m + kept, zero.a.row_bits + (1 << m,) * kept, b)
-            elements.append((core, key, r - kept))
+            core = (m + kept, zero + (1 << m,) * kept, b)
+            elements.append((core, parts, r - kept))
     return elements
 
 
@@ -595,13 +601,17 @@ def test_sweep_eliminates_each_reduced_element_once(monkeypatch, windows):
 def test_one_sweep_counts_as_one_call_per_n(monkeypatch, threads):
     # every window of n = 1..8 over the rational cells, and of n = 1..4
     # over the exhaustive classes, in one call: the same counts and cell
-    # numbers as one call per n, with one pool for all n
+    # numbers as one call per n, with one pool per round for all n, the
+    # first over the shares of n, the second over the slices of groups
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for provider, top in (("canonical", 8), ("exhaustive", 4)):
-        FakePool.requested = []
+        FakePool.requested, FakePool.mapped = [], []
         got = count_pairs(top, all_windows(top), provider, threads=threads)
-        assert FakePool.requested == ([2] if threads == 2 else [])
+        assert FakePool.requested == ([2, 2] if threads == 2 else [])
+        assert FakePool.mapped == ([("_peeled_share", 2),
+                                    ("_pair_partial_sums", 2)]
+                                   if threads == 2 else [])
         assert len(got) == len(all_windows(top))
         for m in range(1, top + 1):
             for (k, s), want in count_pairs(m, all_pairs(m), provider).items():
@@ -635,8 +645,7 @@ def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
     # capped by neither, 9 by the groups
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     pairs = tuple(all_pairs(5))
-    assert len(burnside._peel_groups({5: rational_cells(5)},
-                                     {5: pairs})) == 8
+    assert len(core_groups(5, pairs, rational_cells(5))) == 8
     serial = {p: r.count for p, r in count_pairs(5, pairs).items()}
     for cpus, threads, workers in [(3, 1000, 3), (3, 2, 2), (None, 8, 1),
                                    (1, 8, 1), (64, 8, 8), (64, 9, 8)]:
@@ -850,25 +859,36 @@ def test_count_loads_neither_dataclasses_nor_traceback():
     assert out.strip() == "[]"
 
 
-def test_count_through_spawned_workers(monkeypatch):
-    # the fork pool pickles no groups, but the seam must still accept any
-    # executor whose workers unpickle them: spawned workers import rmclass
-    # afresh and unpickle the groups' value classes
-    started = []
-
-    def spawned_pool(max_workers):
-        started.append(max_workers)
-        return ProcessPoolExecutor(
-            max_workers, mp_context=multiprocessing.get_context("spawn"))
-
-    monkeypatch.setattr(burnside, "ProcessPoolExecutor", spawned_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    pairs = all_pairs(6)
-    pooled = count_pairs(6, pairs, threads=2)
-    assert started == [2]
-    serial = count_pairs(6, pairs)
-    assert {w: r.count for w, r in pooled.items()} == \
-        {w: r.count for w, r in serial.items()}
+def test_count_through_spawned_workers():
+    # the fork pool pickles neither cells nor groups, but the seam must
+    # still accept any executor whose workers unpickle what they are
+    # given: spawned workers import rmclass afresh, build and peel the
+    # shares of n = 5 and 6 and return their row tuples, then unpickle
+    # the groups' value classes. The count runs in a fresh interpreter,
+    # so that multiprocessing's resource tracker does not outlive it as a
+    # child of this process
+    src = str(Path(rmclass.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import multiprocessing, os\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from rmclass import burnside\n"
+        "started = []\n"
+        "def spawned_pool(max_workers):\n"
+        "    started.append(max_workers)\n"
+        "    return ProcessPoolExecutor(\n"
+        "        max_workers, mp_context=multiprocessing.get_context('spawn'))\n"
+        "windows = [(m, k, s) for m in (5, 6) for k, s in burnside.all_pairs(m)]\n"
+        "serial = burnside.count_pairs(6, windows)\n"
+        "burnside.ProcessPoolExecutor = spawned_pool\n"
+        "os.cpu_count = lambda: 2\n"
+        "pooled = burnside.count_pairs(6, windows, threads=2)\n"
+        "print(started, {w: (r.count, r.cells) for w, r in pooled.items()}\n"
+        "      == {w: (r.count, r.cells) for w, r in serial.items()})\n")
+    out = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == "[2, 2] True"
 
 
 def test_pool_raises_a_workers_exception(monkeypatch, forked):
@@ -1022,17 +1042,126 @@ def test_peeled_fixdims_equal_direct_elimination(n):
     assert split > 0 or n == 1
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [
+    *range(1, 9),
+    *(pytest.param(n, marks=pytest.mark.extended) for n in (9, 10))])
 def test_split_fixdims_match_the_invariant_witness(n):
     # every rational cell through the engine's whole path (peel, split,
-    # level counts, derivation, convolution) against invariant_fixdims on
-    # the unreduced rep, which works from the point map alone and shares
-    # no code with the images, the peel or the split
+    # mirrored level counts, derivation, convolution) against
+    # invariant_fixdims on the unreduced rep, which works from the point
+    # map alone and shares no code with the images, the peel or the
+    # split. At n = 9 and 10 it is the only per-cell check of the level
+    # counts of parts on 9 and 10 variables
     pairs = tuple(all_pairs(n))
     for cell in rational_cells(n):
         want = invariant_fixdims(cell.rep, pairs)
         assert partial_sums(n, pairs, [ConjCell(cell.rep, 1)]) == \
             [1 << f for f in want], str(cell.rep)
+
+
+def test_part_levels_mirror_one_elimination(monkeypatch):
+    # N_l = N_(u-l) by duality: every distinct split part of n <= 10 is
+    # eliminated only on its levels l <= u / 2, and its level counts,
+    # over all levels and over each level alone, equal one elimination of
+    # the part on every level
+    parts = set()
+    for n in range(1, 11):
+        for run in runs(rational_cells(n)):
+            parts.update(burnside._peel_run(n, list(run))[1])
+    assert len(parts) == 57
+    eliminated = []
+
+    def rank_spy(images, n, windows, real=burnside.fixed_space_log2):
+        eliminated.append((n, list(windows)))
+        return real(images, n, windows)
+
+    monkeypatch.setattr(burnside, "fixed_space_log2", rank_spy)
+    for rows in sorted(parts):
+        u = len(rows)
+        part = AffineElement(u, BitMatrix(u, u, rows), BitVector(u, 0))
+        levels = [(l - 1, l) for l in range(u + 1)]
+        want = fixed_space_log2(monomial_images(part), u, levels)
+        assert list(want) == want[::-1], str(part)
+        eliminated.clear()
+        assert burnside._part_levels(part, 0, u) == tuple(want), str(part)
+        assert eliminated == [(u, levels[:u // 2 + 1])]
+        for l in range(u + 1):
+            assert burnside._part_levels(part, l, l) == tuple(
+                want[l] if j == l else 0 for j in range(u + 1)), (str(part), l)
+
+
+def test_block_orders_are_read_only_where_a_block_fixes_no_vector(
+        monkeypatch):
+    # a block that fixes a nonzero vector never splits, so a run whose
+    # blocks all do builds no table of images for their orders: in the
+    # built lists and in another basis, where most runs are one block
+    read = []
+
+    def order_spy(rows, real=burnside.order_and_fixes):
+        read.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(burnside, "order_and_fixes", order_spy)
+    skipped = 0
+    for cells in (rational_cells(8), conjugated_cells(8)):
+        for run in runs(cells):
+            a = run[0].rep.a
+            some = any(rank(restrict(a, c) ^ gf2_identity(len(c))) == len(c)
+                       for c in blocks(a) if len(c) > 1)
+            read.clear()
+            burnside._peel_run(8, list(run))
+            assert bool(read) == some, str(run[0].rep)
+            skipped += not some
+    assert skipped > 0
+
+
+def test_deal_shares_the_largest_n_first():
+    # each n, largest first, goes to the share with the smallest sum of
+    # 2^n, the lower one on a tie; the caller counts share 0
+    assert burnside._deal(range(3, 10), 2) == [[9], [3, 4, 5, 6, 7, 8]]
+    assert burnside._deal(range(3, 11), 2) == [[10], [3, 4, 5, 6, 7, 8, 9]]
+    assert burnside._deal(range(3, 10), 3) == [[9], [8], [3, 4, 5, 6, 7]]
+    assert burnside._deal(range(3, 11), 3) == [[10], [9], [3, 4, 5, 6, 7, 8]]
+    assert burnside._deal([4, 5], 2) == [[5], [4]]
+    assert burnside._deal(range(1, 9), 1) == [list(range(1, 9))]
+
+
+@pytest.mark.parametrize("windows", [all_windows, reference_windows])
+def test_pooled_counts_equal_serial_counts(monkeypatch, forked, windows):
+    # triples over several n with 1, 2 and 3 workers: each round forks
+    # one child per worker but the caller, both rounds reap them all, and
+    # the counts and cell numbers are the serial ones
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = {w: (r.count, r.cells)
+              for w, r in count_pairs(8, windows(8)).items()}
+    assert forked == []
+    for threads in (1, 2, 3):
+        got = count_pairs(8, windows(8), threads=threads)
+        assert {w: (r.count, r.cells) for w, r in got.items()} == serial
+        assert len(forked) == 2 * (threads - 1)
+        if forked:
+            assert_reaped(forked)
+        forked.clear()
+
+
+def test_pool_raises_an_exception_of_the_first_round(monkeypatch, forked):
+    # a share that raises in a worker while it builds and peels: its
+    # class reaches the caller, before any sweep, and the child is reaped
+    def worker_share(share, provider, file, cells):
+        raise SliceError(f"share {share} failed in a worker")
+
+    swept = []
+    monkeypatch.setattr(burnside, "_peeled_share",
+                        in_workers(worker_share, "_peeled_share"))
+    monkeypatch.setattr(burnside, "_pair_partial_sums",
+                        lambda *args: swept.append(args))
+    with pytest.raises(SliceError,
+                       match=r"share \[1, 2, 3, 4, 5, 6\] failed in a "
+                             r"worker"):
+        count_pairs(7, all_windows(7), threads=2)
+    assert swept == []
+    assert len(forked) == 1
+    assert_reaped(forked)
 
 
 def test_split_counts():
@@ -1099,9 +1228,9 @@ def test_split_takes_only_coprime_blocks_without_fixed_points():
         cells = [ConjCell(AffineElement(n, a, BitVector(n, b)), 1)
                  for b in range(1 << n)]
         zero, got, free, _ = burnside._peel_run(n, cells)
-        assert [p.n for p in got] == parts
-        assert list(got) == split_parts(cells)
-        assert (zero.n, free) == (n - sum(parts) - r, r)
+        assert [len(p) for p in got] == parts
+        assert list(got) == [p.a.row_bits for p in split_parts(cells)]
+        assert (len(zero), free) == (n - sum(parts) - r, r)
         for cell in cells:
             want = fixed_space_log2(monomial_images(cell.rep), n, pairs)
             assert invariant_fixdims(cell.rep, pairs) == want

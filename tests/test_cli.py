@@ -10,7 +10,7 @@ from conftest import (
     FakePool,
     SliceError,
     TAU_ROWS,
-    assert_no_ended_child,
+    assert_no_child,
     assert_reaped,
     find_inexact_swap,
     in_workers,
@@ -133,23 +133,27 @@ def test_cells_are_built_once_inside_count_pairs(capsys, monkeypatch):
 
 
 def test_verify_opens_one_pool(capsys, monkeypatch):
-    # one count_pairs call counts every n, so --threads 2 opens one pool,
-    # not one per n, builds each n's cells once and prints the serial
-    # run's stdout
+    # one count_pairs call counts every n, so --threads 2 opens one pool
+    # per round, not one per n: the first builds each n's cells once, in
+    # the shares dealt largest n first, and the second sweeps the groups;
+    # stdout is the serial run's
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     builds = []
     real_build = burnside.rational_cells
     monkeypatch.setattr(burnside, "rational_cells",
                         lambda n: builds.append(n) or real_build(n))
-    FakePool.requested = []
+    FakePool.requested, FakePool.mapped = [], []
     assert run_cli("verify", "--max-n", "6") == 0
     serial = capsys.readouterr().out
     assert FakePool.requested == []
+    assert builds == [3, 4, 5, 6]
     builds.clear()
     assert run_cli("verify", "--max-n", "6", "--threads", "2") == 0
-    assert FakePool.requested == [2]
-    assert builds == [3, 4, 5, 6]
+    assert FakePool.requested == [2, 2]
+    assert FakePool.mapped == [("_peeled_share", 2),
+                               ("_pair_partial_sums", 2)]
+    assert builds == [6, 3, 4, 5]
     assert capsys.readouterr().out == serial
 
 
@@ -185,7 +189,7 @@ def test_count_failed_fork_is_internal_error(capsys, monkeypatch, forked):
         "internal error: pool worker 1 could not start: "
         f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}")
     assert forked == []
-    assert_no_ended_child()
+    assert_no_child()
 
 
 def test_verify_bad_window_is_usage_error(capsys, monkeypatch):
