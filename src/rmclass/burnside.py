@@ -29,7 +29,7 @@ from .conjclasses import (
     import_cells,
     rational_cells,
 )
-from .gf2 import BitMatrix, BitVector, Value, order_and_fixes, rank_of_rows
+from .gf2 import BitMatrix, BitVector, Value, order_and_fixes
 from .group import AffineElement, group_orders
 from .linrep import fixed_space_log2, monomial_images, translated_images
 
@@ -219,21 +219,21 @@ def _peel_run(n: int, run: list[ConjCell]):
       that is linear on F, fixes the rest and commutes with A: it keeps
       y as its affine coordinate, put on top, and peels the other
       |F| - 1, however many bits of F b has.
-    - V1 is the blocks of odd order with no nonzero fixed point whose
-      orders share no prime with the lcm of the orders of the blocks
-      outside V1 (dropping those that do until none is left). A xor I
-      is invertible on V1, so a translation conjugates b's part there
+    - The other blocks are joined into components while their orders
+      share a prime, 2 included (gf2.order_and_fixes, one cached call
+      per block). A component of odd order none of whose blocks fixes a
+      nonzero vector is a part, and V1 is the union of the parts. A xor
+      I is invertible on V1, so a translation conjugates b's part there
       away, and g1 = (A_1, 0) has odd order prime to that of the rest
       g2; <g> = <g1> x <g2>, so g's fixed vectors are the tensors of
       g1's and g2's, level by level (_peel_plan). The same holds within
-      g1 between its parts, the blocks of V1 joined while their orders
-      share a prime.
+      g1 between its parts, whose orders are pairwise prime.
     - K, the rest, is the core. A rep with no block structure is one
       block and all core.
     Returns plain data, cheap to pickle: the rows of A_2 on m = |K|
     variables, the rows of each part A_1 of g1 by increasing coordinate
-    mask, r = |F|, and (size, kept, b) per cell in order: kept is 1 when
-    the cell keeps y, and b is its translation on K, with y as bit m."""
+    mask, r = |F|, and (size, b) per cell in order, b its translation on
+    K with bit m set when the cell keeps y."""
     rows = run[0].rep.a.row_bits
     blocks = []  # coordinate masks, merged row by row
     for i, row in enumerate(rows):
@@ -243,38 +243,23 @@ def _peel_run(n: int, run: list[ConjCell]):
             block |= other
         blocks.append(block)
     free = sum(b for b in blocks if not b & b - 1)
-    restricted = {b: _restrict(rows, b) for b in blocks if b & b - 1}
-    # a block with a nonzero fixed point, rank(B xor I) < d, never
-    # splits; the orders, from a table of 2^d images per block, are read
-    # only where some block has none
-    split = {b for b, r in restricted.items() if rank_of_rows(
-        [row ^ 1 << i for i, row in enumerate(r)]) == len(r)}
-    orders = ({b: order_and_fixes(r)[0] for b, r in restricted.items()}
-              if split else {})
-    split = {b for b in split if orders[b] & 1}
-    while True:
-        rest = math.lcm(*(order for b, order in orders.items()
-                          if b not in split))
-        drop = {b for b in split if math.gcd(orders[b], rest) > 1}
-        if not drop:
-            break
-        split -= drop
-    parts = []  # (mask, order) of the blocks of V1 that share a prime
-    for b in sorted(split):
-        mask, order = b, orders[b]
-        for other in [p for p in parts if math.gcd(p[1], order) > 1]:
-            parts.remove(other)
-            mask, order = mask | other[0], math.lcm(order, other[1])
-        parts.append((mask, order))
-    core = (1 << n) - 1 ^ free ^ sum(split)
+    comps = []  # (mask, order, some block fixes a vector), orders coprime
+    for mask in blocks:
+        if mask & mask - 1:
+            order, fixes = order_and_fixes(_restrict(rows, mask))
+            for other in [c for c in comps if math.gcd(c[1], order) > 1]:
+                comps.remove(other)
+                mask, order = mask | other[0], math.lcm(order, other[1])
+                fixes = fixes or other[2]
+            comps.append((mask, order, fixes))
+    parts = sorted(mask for mask, order, fixes in comps
+                   if order & 1 and not fixes)
+    core = (1 << n) - 1 ^ free ^ sum(parts)
     m = core.bit_count()
-    peeled = []
-    for cell in run:
-        b = cell.rep.b.bits
-        kept = 1 if b & free else 0
-        peeled.append((cell.size, kept, _squeeze(b, core) | kept << m))
+    peeled = [(cell.size, _squeeze(cell.rep.b.bits, core)
+               | bool(cell.rep.b.bits & free) << m) for cell in run]
     return (_restrict(rows, core),
-            tuple(_restrict(rows, mask) for mask, _ in sorted(parts)),
+            tuple(_restrict(rows, mask) for mask in parts),
             free.bit_count(), peeled)
 
 
@@ -374,7 +359,7 @@ def _peel_groups(runs_by_n: dict[int, list],
             # (free coordinates peeled, the parts' rows) for N, by kept
             shapes = ((r, parts), (r - 1, parts))
             groups[core][1].setdefault(n, []).extend(
-                (size, b, shapes[kept]) for size, kept, b in peeled)
+                (size, b, shapes[b >> len(core)]) for size, b in peeled)
     counts = {rows: _part_levels(_zero_coset(rows), lo, hi)
               for rows, (lo, hi) in hulls.items()}
     levels = {}  # (free coordinates, the parts' rows) -> N, one tuple each

@@ -474,8 +474,8 @@ def test_peel_run_matches_the_helpers(n):
     # the rows of the core zero coset and of the split parts, which cells
     # keep y, their core translations with y as bit m, and the rows each
     # feeds to elimination, for the built lists and for runs conjugated
-    # into another basis, where most blocks fix a nonzero vector and no
-    # block order is computed
+    # into another basis, where most runs are one block that fixes a
+    # nonzero vector
     lists = [rational_cells(n), affine_cells(n)]
     if n >= 3:
         lists.append(conjugated_cells(n))
@@ -491,8 +491,9 @@ def test_peel_run_matches_the_helpers(n):
                 str(run[0].rep)
             assert (r, len(zero)) == (len(free), m)
             assert len(peeled) == len(run)
-            for cell, (size, keeps, b) in zip(run, peeled):
+            for cell, (size, b) in zip(run, peeled):
                 touches = int(any(cell.rep.b[i] for i in free))
+                keeps = b >> m
                 assert size == cell.size
                 assert keeps == touches, str(cell.rep)
                 assert b == squeeze(cell.rep.b.bits, core) | touches << m
@@ -511,7 +512,8 @@ def reduced_elements(n):
     for run in runs(rational_cells(n)):
         zero, parts, r, peeled = burnside._peel_run(n, list(run))
         m = len(zero)
-        for _, kept, b in peeled:
+        for _, b in peeled:
+            kept = b >> m
             core = (m + kept, zero + (1 << m,) * kept, b)
             elements.append((core, parts, r - kept))
     return elements
@@ -1090,31 +1092,6 @@ def test_part_levels_mirror_one_elimination(monkeypatch):
                 want[l] if j == l else 0 for j in range(u + 1)), (str(part), l)
 
 
-def test_block_orders_are_read_only_where_a_block_fixes_no_vector(
-        monkeypatch):
-    # a block that fixes a nonzero vector never splits, so a run whose
-    # blocks all do builds no table of images for their orders: in the
-    # built lists and in another basis, where most runs are one block
-    read = []
-
-    def order_spy(rows, real=burnside.order_and_fixes):
-        read.append(rows)
-        return real(rows)
-
-    monkeypatch.setattr(burnside, "order_and_fixes", order_spy)
-    skipped = 0
-    for cells in (rational_cells(8), conjugated_cells(8)):
-        for run in runs(cells):
-            a = run[0].rep.a
-            some = any(rank(restrict(a, c) ^ gf2_identity(len(c))) == len(c)
-                       for c in blocks(a) if len(c) > 1)
-            read.clear()
-            burnside._peel_run(8, list(run))
-            assert bool(read) == some, str(run[0].rep)
-            skipped += not some
-    assert skipped > 0
-
-
 def test_deal_shares_the_largest_n_first():
     # each n, largest first, goes to the share with the smallest sum of
     # 2^n, the lower one on a tie; the caller counts share 0
@@ -1187,12 +1164,14 @@ def direct_sum(*blocks):
     return BitMatrix.from_strings(rows)
 
 
-# companion blocks of x^2 + x + 1 (order 3), x^3 + x + 1 (order 7) and
-# x^4 + x + 1 (order 15), a connected block of order 3 that fixes a
-# nonzero vector (its characteristic polynomial is (x + 1)(x^2 + x + 1)),
-# a unipotent block of order 2 and a free coordinate
+# companion blocks of x^2 + x + 1 (order 3), x^3 + x + 1 (order 7),
+# x^4 + x^3 + x^2 + x + 1 (order 5) and x^4 + x + 1 (order 15), a
+# connected block of order 3 that fixes a nonzero vector (its
+# characteristic polynomial is (x + 1)(x^2 + x + 1)), a unipotent block
+# of order 2 and a free coordinate
 ORDER_3 = ["01", "11"]
 ORDER_7 = ["001", "101", "010"]
+ORDER_5 = ["0001", "1001", "0101", "0011"]
 ORDER_15 = ["0001", "1001", "0100", "0010"]
 ORDER_3_FIXING = ["100", "001", "111"]
 UNIPOTENT = ["10", "11"]
@@ -1200,44 +1179,67 @@ FREE = ["1"]
 
 
 def test_split_takes_only_coprime_blocks_without_fixed_points():
-    # which blocks split, and every translation of each linear part, on
-    # V1 and off it, against the unreduced element's own elimination and
-    # the invariant witness:
+    # which blocks split, whatever the order of the blocks along the
+    # diagonal, and the sum over every translation of each linear part
+    # against fresh eliminations; in the order listed, each translation,
+    # on V1 and off it, against the unreduced element's own elimination
+    # and the invariant witness:
     # - the order-3 block that fixes a vector stays in the core beside a
     #   split block of order 7, and a translation along its fixed vector
     #   cannot be conjugated away;
     # - beside it, the companion block of order 3 stays in the core too,
-    #   since their orders share the prime 3;
+    #   since their orders share the prime 3, before it or after it;
     # - beside a unipotent block (order 2), the order-3 block splits, and
     #   its part of b is dropped;
     # - blocks of orders 3 and 7 split as two parts, whose level counts
     #   convolve, and blocks of orders 3 and 15 as one part
     assert [matrix_order(BitMatrix.from_strings(b))
-            for b in (ORDER_3, ORDER_7, ORDER_15, ORDER_3_FIXING)] == \
-        [3, 7, 15, 3]
+            for b in (ORDER_3, ORDER_7, ORDER_5, ORDER_15, ORDER_3_FIXING)] \
+        == [3, 7, 5, 15, 3]
     assert rank(BitMatrix.from_strings(ORDER_3_FIXING)
                 ^ gf2_identity(3)) < 3
     assert blocks(BitMatrix.from_strings(ORDER_3_FIXING)) == [[0, 1, 2]]
-    for a, parts, r in ((direct_sum(ORDER_3_FIXING, ORDER_7), [3], 0),
-                        (direct_sum(ORDER_3, ORDER_3_FIXING), [], 0),
-                        (direct_sum(UNIPOTENT, ORDER_3), [2], 0),
-                        (direct_sum(UNIPOTENT, ORDER_3, ORDER_7), [2, 3], 0),
-                        (direct_sum(FREE, ORDER_3, ORDER_15), [6], 1)):
+    cases = (((ORDER_3_FIXING, ORDER_7), [3], 0),
+             ((ORDER_3, ORDER_3_FIXING), [], 0),
+             ((UNIPOTENT, ORDER_3), [2], 0),
+             ((UNIPOTENT, ORDER_3, ORDER_7), [2, 3], 0),
+             ((FREE, ORDER_3, ORDER_15), [6], 1))
+    for diagonal, parts, r in cases:
+        for seq in itertools.permutations(diagonal):
+            a = direct_sum(*seq)
+            n = a.rows
+            pairs = tuple(all_pairs(n))
+            cells = [ConjCell(AffineElement(n, a, BitVector(n, b)), 1)
+                     for b in range(1 << n)]
+            zero, got, free, _ = burnside._peel_run(n, cells)
+            assert sorted(len(p) for p in got) == parts
+            assert list(got) == [p.a.row_bits for p in split_parts(cells)]
+            assert (len(zero), free) == (n - sum(parts) - r, r)
+            assert partial_sums(n, pairs, cells) == \
+                fresh_partial_sums(n, pairs, cells)
+            if seq != diagonal:
+                continue
+            for cell in cells:
+                want = fixed_space_log2(monomial_images(cell.rep), n, pairs)
+                assert invariant_fixdims(cell.rep, pairs) == want
+                assert partial_sums(n, pairs, [cell]) == \
+                    [1 << f for f in want], str(cell.rep)
+
+
+def test_split_keeps_a_chain_of_blocks_in_the_core_in_any_order():
+    # blocks of orders 5 and 15 are odd and fix no vector, but the one of
+    # order 15 shares the prime 3 with the order-3 block that fixes a
+    # vector, and the one of order 5 shares 5 with it: one component, all
+    # core, whichever block comes first. Dropping the blocks that share a
+    # prime with the rest, until none does, takes two rounds here
+    for seq in itertools.permutations((ORDER_5, ORDER_15, ORDER_3_FIXING)):
+        a = direct_sum(*seq)
         n = a.rows
-        pairs = tuple(all_pairs(n))
         cells = [ConjCell(AffineElement(n, a, BitVector(n, b)), 1)
-                 for b in range(1 << n)]
-        zero, got, free, _ = burnside._peel_run(n, cells)
-        assert [len(p) for p in got] == parts
-        assert list(got) == [p.a.row_bits for p in split_parts(cells)]
-        assert (len(zero), free) == (n - sum(parts) - r, r)
-        for cell in cells:
-            want = fixed_space_log2(monomial_images(cell.rep), n, pairs)
-            assert invariant_fixdims(cell.rep, pairs) == want
-            assert partial_sums(n, pairs, [cell]) == \
-                [1 << f for f in want], str(cell.rep)
-        assert partial_sums(n, pairs, cells) == \
-            fresh_partial_sums(n, pairs, cells)
+                 for b in (0, (1 << n) - 1)]
+        assert (n, split_coordinates(a), split_parts(cells)) == (11, [], [])
+        assert burnside._peel_run(n, cells) == \
+            (a.row_bits, (), 0, [(1, 0), (1, (1 << n) - 1)])
 
 
 @pytest.mark.parametrize("n", range(1, 8))

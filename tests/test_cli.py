@@ -174,6 +174,25 @@ def test_verify_worker_failure_is_internal_error(capsys, monkeypatch,
     assert_reaped(forked)
 
 
+def test_verify_worker_value_error_is_usage_error(capsys, monkeypatch,
+                                                 forked):
+    # a worker's exception reaches the caller as itself, so its class
+    # alone picks the code: a ValueError raised in a pool worker exits 2,
+    # as one raised in the caller does, before any check line. Each count
+    # forks one child per round, and none is left
+    def value_error(wanted, groups):
+        raise ValueError("slice rejected its groups")
+
+    for slice_fn in (in_workers(value_error), value_error):
+        monkeypatch.setattr(burnside, "_pair_partial_sums", slice_fn)
+        assert run_cli("verify", "--max-n", "6", "--threads", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: slice rejected its groups\n"
+    assert len(forked) == 4
+    assert_reaped(forked)
+
+
 def test_count_failed_fork_is_internal_error(capsys, monkeypatch, forked):
     # a pool worker that cannot be forked is a failed resource, not bad
     # input: exit 3 naming the worker, not 2, and no child is left
