@@ -2,14 +2,14 @@
 
 For each cell (one representative g, exact size) the number of coefficient
 vectors fixed by g is 2^(d - rank(tau_g xor I)); the class count is the
-size-weighted sum over cells divided by |AGL(n,2)|. The rank is taken
-on the core of g only: its free coordinates and its odd-order blocks of
-order prime to the rest's are split off and enter through their level
-counts (_peel_run, _peel_plan).
-The canonical cells are the rational cells of conjclasses, unions of the
-conjugacy classes of the generators of one cyclic subgroup. Everything is
-exact integer arithmetic; a nonzero remainder in the final division means
-the cell decomposition is broken and raises instead of rounding.
+size-weighted sum over cells divided by |AGL(n,2)|. The rank is taken on the
+core of g only: its free coordinates and its odd-order blocks of order prime
+to the rest's are split off and enter through their level counts (_peel_run,
+_peel_plan). The canonical cells are the rational cells of conjclasses,
+unions of the conjugacy classes of the generators of one cyclic subgroup.
+Everything is exact integer arithmetic; a nonzero remainder in the final
+division means the cell decomposition is broken and raises instead of
+rounding.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .conjclasses import (
     exhaustive_cells,
     import_cells,
     rational_cells,
+    rational_runs,
 )
 from .gf2 import BitMatrix, BitVector, Value, order_and_fixes
 from .group import AffineElement, group_orders
@@ -62,17 +63,16 @@ class ForkPool:
     interface of concurrent.futures.ProcessPoolExecutor that it uses: the
     max_workers constructor, the context manager and an ordered map.
 
-    map runs its first call in the calling process and forks one child
-    per other call, each returning its result through a pipe; the caller
-    reads each pipe to EOF and reaps every child before map returns or
-    raises. A child's exception is raised again in the caller; a child
-    that ends without a result, or an OSError from os.pipe or os.fork,
-    raises RuntimeError naming the worker, an internal failure rather
-    than bad input. If anything raises,
-    the children still running are killed first. Children are forked, so
-    they inherit the arguments and module state without pickling, and
-    only the results are pickled. Fork only where no other thread runs:
-    _workers checks that (_can_fork)."""
+    map runs its first call in the calling process and forks one child per
+    other call, each returning its result through a pipe; the caller reads
+    each pipe to EOF and reaps every child before map returns or raises. A
+    child's exception is raised again in the caller; a child that ends
+    without a result, or an OSError from os.pipe or os.fork, raises
+    RuntimeError naming the worker, an internal failure rather than bad
+    input. If anything raises, the children still running are killed first.
+    Children are forked, so they inherit the arguments and module state
+    without pickling, and only the results are pickled. Fork only where no
+    other thread runs: _workers checks that (_can_fork)."""
 
     def __init__(self, max_workers: int):
         self.max_workers = max_workers
@@ -207,11 +207,11 @@ def _zero_coset(rows: tuple[int, ...]) -> AffineElement:
     return AffineElement(m, BitMatrix(m, m, rows), BitVector(m, 0))
 
 
-def _peel_run(n: int, run: list[ConjCell]):
-    """The one statement of the peel: a run of cells with equal linear
-    parts A, split as A = I_F + A_1 + A_2 on coordinates F, V1 and K
-    taken from A itself. Its blocks are the connected components of its
-    coordinate graph (i ~ j when A_ij = 1 or A_ji = 1).
+def _peel_run(n: int, rows: tuple[int, ...], cells):
+    """The one statement of the peel: a run of cells (size, b) of one linear
+    part A, given by its rows, split as A = I_F + A_1 + A_2 on coordinates
+    F, V1 and K taken from A itself. Its blocks are the connected components
+    of its coordinate graph (i ~ j when A_ij = 1 or A_ji = 1).
     - F is the free coordinates, the blocks of one coordinate, whose
       row and column of A are e_i. A cell (A, b) with no bit of b in F
       leaves every x_i, i in F, alone and peels all of F. A cell whose b
@@ -234,7 +234,6 @@ def _peel_run(n: int, run: list[ConjCell]):
     variables, the rows of each part A_1 of g1 by increasing coordinate
     mask, r = |F|, and (size, b) per cell in order, b its translation on
     K with bit m set when the cell keeps y."""
-    rows = run[0].rep.a.row_bits
     blocks = []  # coordinate masks, merged row by row
     for i, row in enumerate(rows):
         block = row | 1 << i
@@ -256,8 +255,8 @@ def _peel_run(n: int, run: list[ConjCell]):
                    if order & 1 and not fixes)
     core = (1 << n) - 1 ^ free ^ sum(parts)
     m = core.bit_count()
-    peeled = [(cell.size, _squeeze(cell.rep.b.bits, core)
-               | bool(cell.rep.b.bits & free) << m) for cell in run]
+    peeled = [(size, _squeeze(b, core) | bool(b & free) << m)
+              for size, b in cells]
     return (_restrict(rows, core),
             tuple(_restrict(rows, mask) for mask in parts),
             free.bit_count(), peeled)
@@ -417,33 +416,34 @@ def _pair_partial_sums(wanted_by_n: dict[int, tuple[tuple[int, int], ...]],
     return sums
 
 
-def _checked_cells(n: int, provider: str, file, cells) -> list[ConjCell]:
-    """cells, or else the provider's cells for n, checked to be for n and
-    to cover AGL(n,2) by their sizes."""
-    if cells is None:
-        cells = resolve_cells(n, provider, file=file)
-    for c in cells:
-        if c.rep.n != n:
-            raise CellDecompositionError(
-                f"a cell representative is for n={c.rep.n}, not n={n}")
-    total_size = sum(c.size for c in cells)
-    order = group_orders(n)[1]
-    if total_size != order:
-        raise CellDecompositionError(
-            f"cell sizes sum to {total_size}, not |AGL({n},2)| = {order}")
-    return cells
-
-
 def _peeled_share(share, provider: str, file, cells) -> dict[int, tuple]:
-    """The first round of a count, for the n of one share: each n's cells,
-    built and checked (_checked_cells) and peeled run by run (_peel_run),
-    as {n: (number of cells, [peeled run, ...])}, plain data that a pool
-    worker returns pickled."""
+    """The first round of a count, for the n of one share: each n's runs,
+    checked and peeled (_peel_run), as {n: (number of cells, [peeled run,
+    ...])}, plain data that a pool worker returns pickled. A run is one
+    n x n linear part A and (size, translation bits) per cell, whose sizes
+    sum to |AGL(n,2)| over the runs: one per rational group for the
+    canonical provider (rational_runs), else one per block of consecutive
+    cells with equal A in cells or the provider's cells."""
     out = {}
     for n in share:
-        listed = _checked_cells(n, provider, file, cells)
-        out[n] = (len(listed), [_peel_run(n, list(run)) for _, run
-                                in groupby(listed, key=lambda c: c.rep.a)])
+        if cells is None and file is None and provider == "canonical":
+            runs = rational_runs(n)
+        else:
+            listed = (resolve_cells(n, provider, file=file) if cells is None
+                      else cells)
+            runs = [(a, [(c.size, c.rep.b.bits) for c in run])
+                    for a, run in groupby(listed, key=lambda c: c.rep.a)]
+        for a, _ in runs:
+            if a.rows != n:
+                raise CellDecompositionError(
+                    f"a cell representative is for n={a.rows}, not n={n}")
+        total = sum(size for _, run in runs for size, _ in run)
+        order = group_orders(n)[1]
+        if total != order:
+            raise CellDecompositionError(
+                f"cell sizes sum to {total}, not |AGL({n},2)| = {order}")
+        out[n] = (sum(len(run) for _, run in runs),
+                  [_peel_run(n, a.row_bits, run) for a, run in runs])
     return out
 
 
@@ -488,7 +488,7 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     cell count. Every result carries the elapsed time of the whole count,
     over all n, which starts before the cells are built.
 
-    A count runs in two rounds. In the first, the cells of every n are
+    A count runs in two rounds. In the first, the runs of every n are
     built, checked and peeled (_peeled_share); in the second, the groups
     are swept (_pair_partial_sums). Between them the caller groups the
     peeled runs by their core zero coset and eliminates each distinct

@@ -19,7 +19,9 @@ cell's representative in every window. The cell sizes must sum to
   per merged group, with the class sizes summed. Each cell is the union of
   the conjugacy classes of the g^j, which generate the same cyclic subgroup
   as g and so fix the same vectors. The canonical counting path sums over
-  this shorter list (790 cells against 1967 classes at n = 10).
+  this shorter list (790 cells against 1967 classes at n = 10), which it
+  reads as rational_runs: one run per merged group, its leader's linear
+  part and (size, translation) per cell, with no AffineElement per cell.
 - import_cells: read a decomposition computed elsewhere from a text file.
 
 The cells of exhaustive_cells, affine_cells and the cell file format are
@@ -44,7 +46,7 @@ from collections import Counter
 from pathlib import Path
 from types import MappingProxyType
 
-from .gf2 import BitMatrix, BitVector, SingularMatrixError, Value
+from .gf2 import BitMatrix, BitVector, SingularMatrixError, Value, rank
 from .group import (
     AffineElement,
     Permutation,
@@ -81,11 +83,17 @@ class GlClassDescriptor(Value):
     assignment maps each monic irreducible polynomial (coefficient-packed
     int, bit i = coefficient of x^i; p(x) = x excluded) to the partition
     listing the exponents of its elementary divisors; pairs are sorted by
-    (degree, coefficient bits). rep is the direct sum of the companion
-    matrices of p^e, a BitMatrix.
+    (degree, coefficient bits). The property rep is the direct sum of the
+    companion matrices of p^e, a BitMatrix, built on each read: a count
+    reads only the reps that lead a rational group.
     """
 
-    __slots__ = ("assignment", "rep", "size", "centralizer")
+    __slots__ = ("assignment", "size", "centralizer")
+
+    @property
+    def rep(self) -> BitMatrix:
+        return _companion_sum([_poly_pow(poly, e)
+                               for poly, lam in self.assignment for e in lam])
 
 
 # --- polynomials over GF(2), packed as ints (bit i = coefficient of x^i) ---
@@ -213,9 +221,7 @@ def gl_classes(n: int) -> list[GlClassDescriptor]:
         if rem:
             raise ArithmeticError(
                 f"centralizer {cent} does not divide |GL|={gl_order}")
-        rep = _companion_sum([_poly_pow(poly, e)
-                              for poly, lam in assignment for e in lam])
-        out.append(GlClassDescriptor(assignment, rep, size, cent))
+        out.append(GlClassDescriptor(assignment, size, cent))
     if sum(c.size for c in out) != gl_order:
         raise ArithmeticError("GL class sizes do not sum to the group order")
     return out
@@ -252,13 +258,18 @@ def _min_polys(m: int) -> MappingProxyType[int, int]:
     shared by every caller, so it is read-only."""
     order = (1 << m) - 1
     # x has 2^m - 1 distinct powers mod P only if every nonzero residue is
-    # a unit, so only if P is primitive, and then P is irreducible
+    # a unit, so only if P is primitive, and then P is irreducible. x is a
+    # unit mod an odd P, so its powers repeat first at 1: a walk that
+    # meets 1 again before 2^m - 1 steps rejects P
     for prim in range((1 << m) | 1, 1 << (m + 1), 2):
         power = [1]  # power[e] = gamma^e, packed like the polynomials
-        for _ in range(order - 1):
+        while len(power) < order:
             x = power[-1] << 1
-            power.append(x ^ prim if x >> m else x)
-        if len(set(power)) == order:
+            x = x ^ prim if x >> m else x
+            if x == 1:
+                break
+            power.append(x)
+        else:
             break
     log = {v: e for e, v in enumerate(power)}
     out = {}
@@ -290,7 +301,8 @@ def _rational_groups(n: int) -> list[tuple[GlClassDescriptor, ...]]:
         if r % 2 == 0 or math.gcd(r, _SEMISIMPLE_LCM) != 1:
             raise RuntimeError(f"power {r} is not prime to 2 L")
     classes = gl_classes(n)
-    index = {cls.assignment: i for i, cls in enumerate(classes)}
+    # an assignment names each polynomial once, so its set of pairs is a key
+    index = {frozenset(cls.assignment): i for i, cls in enumerate(classes)}
     # p -> the minimal polynomials of alpha^r, r in _POWERS, p(alpha) = 0;
     # any root of p gives the same ones, so the first exponent serves
     power_of = {}
@@ -315,7 +327,7 @@ def _rational_groups(n: int) -> list[tuple[GlClassDescriptor, ...]]:
                                  zip(*(power_of[p] for p in polys))):
                 if images == polys:
                     continue  # A^r lies in A's own class
-                k = index.get(tuple(sorted(zip(images, lams))))
+                k = index.get(frozenset(zip(images, lams)))
                 if k is None:
                     raise RuntimeError(f"power {r} of GL class {j}: no class")
                 if k not in placed:
@@ -350,38 +362,54 @@ def _x1_partition(cls: GlClassDescriptor) -> tuple[int, ...]:
     return lam if poly == 0b11 else ()
 
 
-def _fiber_cells(n: int, groups) -> list[ConjCell]:
-    """The cells over each group of GL classes: the zero coset, then one
-    cell per distinct x+1 block size t, largest first. The reps are those
-    of the group's first class, and the sizes count every class."""
-    cells = []
+def _fiber_runs(n: int, groups) -> list[tuple[BitMatrix, list]]:
+    """The cells over each group of GL classes, one run per group: the rep
+    A of its first class, checked invertible, and (size, b) per cell, the
+    zero coset first, then one cell per distinct x+1 block size t, largest
+    first. The sizes count every class of the group."""
+    runs = []
+    total = 0
     for group in groups:
         lam = _x1_partition(group[0])
         if any(_x1_partition(cls) != lam for cls in group):
             raise RuntimeError("merged GL classes have different x+1 "
                                f"partitions: {group[0].assignment}")
         rep = group[0].rep
+        if rank(rep) != n:
+            raise SingularMatrixError("linear part is singular")
         # rank(A xor I) = n - (number of x+1 blocks)
         coset = sum(cls.size for cls in group) << (n - len(lam))
-        cells.append(ConjCell(AffineElement(n, rep, BitVector(n, 0)), coset))
+        cells = [(coset, 0)]
         start = above = 0
         for t, mult in sorted(Counter(lam).items(), reverse=True):
             above += mult
             orbit = ((1 << mult) - 1) << (len(lam) - above)
-            cells.append(ConjCell(
-                AffineElement(n, rep, BitVector(n, 1 << start)),
-                coset * orbit))
+            cells.append((coset * orbit, 1 << start))
             start += t * mult
-    total = sum(c.size for c in cells)
+        total += sum(size for size, _ in cells)
+        runs.append((rep, cells))
     if total != group_orders(n)[1]:
         raise RuntimeError(f"cell sizes sum to {total}, not |AGL({n},2)|")
-    return cells
+    return runs
+
+
+def _flat(n: int, runs) -> list[ConjCell]:
+    """The cells of the runs, in order, each with its own AffineElement."""
+    return [ConjCell(AffineElement(n, a, BitVector(n, b)), size)
+            for a, cells in runs for size, b in cells]
 
 
 def affine_cells(n: int) -> list[ConjCell]:
     """The conjugacy classes of AGL(n,2), one cell each, from the GL
     canonical forms and the closed-form orbits on each fiber."""
-    return _fiber_cells(n, [(cls,) for cls in gl_classes(n)])
+    return _flat(n, _fiber_runs(n, [(cls,) for cls in gl_classes(n)]))
+
+
+def rational_runs(n: int) -> list[tuple[BitMatrix, list]]:
+    """The rational cells of n as the counting engine reads them, one run
+    per rational group: its linear part and (size, translation bits) per
+    cell (_fiber_runs). rational_cells is these runs, flattened."""
+    return _fiber_runs(n, _rational_groups(n))
 
 
 def rational_cells(n: int) -> list[ConjCell]:
@@ -390,7 +418,7 @@ def rational_cells(n: int) -> list[ConjCell]:
     Every member of a cell generates a cyclic subgroup conjugate to that of
     the representative, so all fix the same number of vectors in every
     window; the counting engine sums over these cells."""
-    return _fiber_cells(n, _rational_groups(n))
+    return _flat(n, rational_runs(n))
 
 
 # --- exhaustive small-n provider --------------------------------------------

@@ -127,15 +127,18 @@ def _image_masks_with(n: int, top: int, k: int, b: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _masks_by_degree(n: int) -> tuple[tuple[int, ...], ...]:
     """entry i = the masks of the degree-i monomials, in increasing order."""
-    return tuple(tuple(u for u in range(1 << n) if u.bit_count() == i)
-                 for i in range(n + 1))
+    by_degree = [[] for _ in range(n + 1)]
+    for u in range(1 << n):
+        by_degree[u.bit_count()].append(u)
+    return tuple(map(tuple, by_degree))
 
 
 @functools.lru_cache(maxsize=None)
 def _degree_bands(n: int) -> tuple[int, ...]:
     """entry j = the bit mask of the monomials of degree n - j: the degree
     masks from the top degree down, as rank_of_rows takes its bands."""
-    return tuple(_window_indicator(n, i, i - 1) for i in range(n, -1, -1))
+    return tuple(sum(1 << u for u in masks)
+                 for masks in reversed(_masks_by_degree(n)))
 
 
 @functools.lru_cache(maxsize=256)

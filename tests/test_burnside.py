@@ -157,13 +157,26 @@ def test_count_pairs_takes_pairs_as_lists():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rational_counts_equal_class_counts(n):
     # the canonical path sums over rational cells; summed over the exact
-    # conjugacy classes instead, every count is the same
+    # conjugacy classes instead, every count is the same. It peels
+    # rational_runs; given the rational cells as a list, it groups them
+    # into runs by their linear parts, and counts the same
     pairs = all_pairs(n)
     merged = count_pairs(n, pairs)
-    unmerged = count_pairs(n, pairs, cells=affine_cells(n))
-    assert {p: r.count for p, r in merged.items()} == \
-           {p: r.count for p, r in unmerged.items()}
+    for cells in (affine_cells(n), rational_cells(n)):
+        listed = count_pairs(n, pairs, cells=cells)
+        assert {p: r.count for p, r in merged.items()} == \
+               {p: r.count for p, r in listed.items()}
     assert {r.cells for r in merged.values()} == {len(rational_cells(n))}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_peeled_runs_equal_the_peeled_flat_cells(n):
+    # the first round peels each canonical run as it peels the same cells
+    # flattened and grouped back by their linear parts
+    share = burnside._peeled_share([n], "canonical", None, None)
+    assert share == burnside._peeled_share([n], "canonical", None,
+                                           rational_cells(n))
+    assert len(share[n][1]) == len(conjclasses._rational_groups(n))
 
 
 def test_canonical_path_builds_no_conjugacy_classes(monkeypatch):
@@ -176,12 +189,12 @@ def test_canonical_path_builds_no_conjugacy_classes(monkeypatch):
     assert (len(merged), len(conjclasses.gl_classes(n))) == (18, 27)
     seen = []
 
-    def spy(n, groups, real=conjclasses._fiber_cells):
+    def spy(n, groups, real=conjclasses._fiber_runs):
         seen.append([[c.assignment for c in g] for g in groups])
         return real(n, groups)
 
     with monkeypatch.context() as m:
-        m.setattr(conjclasses, "_fiber_cells", spy)
+        m.setattr(conjclasses, "_fiber_runs", spy)
         cells = rational_cells(n)
         got = count(n, s, k)
     assert seen == [merged, merged]
@@ -223,7 +236,7 @@ def core_groups(n, pairs, cells):
     """The cells of one n, peeled run by run and grouped by core as
     count_pairs groups them."""
     return burnside._peel_groups(
-        {n: [burnside._peel_run(n, list(run)) for run in runs(cells)]},
+        {n: [peel(n, run) for run in runs(cells)]},
         {n: tuple(pairs)})
 
 
@@ -283,6 +296,17 @@ def runs(cells):
     """The maximal blocks of consecutive cells with equal linear parts."""
     return [tuple(run) for _, run in
             itertools.groupby(cells, key=lambda c: c.rep.a)]
+
+
+def as_run(run):
+    """A run of cells as _peel_run takes it: the rows of its linear part
+    and (size, translation bits) per cell."""
+    return run[0].rep.a.row_bits, [(c.size, c.rep.b.bits) for c in run]
+
+
+def peel(n, run):
+    """_peel_run on a run of cells."""
+    return burnside._peel_run(n, *as_run(run))
 
 
 def free_coordinates(a):
@@ -482,7 +506,7 @@ def test_peel_run_matches_the_helpers(n):
     kept_any = False
     for cells in lists:
         for run in runs(cells):
-            zero, parts, r, peeled = burnside._peel_run(n, list(run))
+            zero, parts, r, peeled = peel(n, run)
             free = free_coordinates(run[0].rep.a)
             core = core_coordinates(run[0].rep.a)
             m = len(core)
@@ -510,7 +534,7 @@ def reduced_elements(n):
     kept y adds the row e_m."""
     elements = []
     for run in runs(rational_cells(n)):
-        zero, parts, r, peeled = burnside._peel_run(n, list(run))
+        zero, parts, r, peeled = peel(n, run)
         m = len(zero)
         for _, b in peeled:
             kept = b >> m
@@ -685,9 +709,9 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         slices.append(groups)
         return real(wanted, groups)
 
-    def peel_spy(n, run):
-        peeled.append(tuple(run))
-        return real_peel(n, run)
+    def peel_spy(n, rows, run):
+        peeled.append((rows, run))
+        return real_peel(n, rows, run)
 
     monkeypatch.setattr(burnside, "monomial_images", build_spy)
     monkeypatch.setattr(burnside, "_pair_partial_sums", slice_spy)
@@ -703,7 +727,7 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         cells = rational_cells(n)
         assert sorted(map(str, built)) == \
             sorted(map(str, expected_builds(cells)))
-        assert sorted(peeled, key=str) == sorted(runs(cells), key=str)
+        assert sorted(peeled) == sorted(map(as_run, runs(cells)))
         # the group of the i-th distinct core lands in slice i mod
         # threads, and holds the cells of its runs in order, with their
         # core translations
@@ -1069,7 +1093,7 @@ def test_part_levels_mirror_one_elimination(monkeypatch):
     parts = set()
     for n in range(1, 11):
         for run in runs(rational_cells(n)):
-            parts.update(burnside._peel_run(n, list(run))[1])
+            parts.update(peel(n, run)[1])
     assert len(parts) == 57
     eliminated = []
 
@@ -1147,7 +1171,7 @@ def test_split_counts():
     for n, want in ((8, 162), (9, 293), (10, 537)):
         cells = rational_cells(n)
         got = sum(len(run) for run in runs(cells)
-                  if burnside._peel_run(n, list(run))[1])
+                  if peel(n, run)[1])
         assert (got, len(cells)) == (want, {8: 260, 9: 447, 10: 790}[n])
     assert sum(bool(split_coordinates(c.rep.a))
                for c in rational_cells(8)) == 162
@@ -1211,7 +1235,7 @@ def test_split_takes_only_coprime_blocks_without_fixed_points():
             pairs = tuple(all_pairs(n))
             cells = [ConjCell(AffineElement(n, a, BitVector(n, b)), 1)
                      for b in range(1 << n)]
-            zero, got, free, _ = burnside._peel_run(n, cells)
+            zero, got, free, _ = peel(n, cells)
             assert sorted(len(p) for p in got) == parts
             assert list(got) == [p.a.row_bits for p in split_parts(cells)]
             assert (len(zero), free) == (n - sum(parts) - r, r)
@@ -1238,7 +1262,7 @@ def test_split_keeps_a_chain_of_blocks_in_the_core_in_any_order():
         cells = [ConjCell(AffineElement(n, a, BitVector(n, b)), 1)
                  for b in (0, (1 << n) - 1)]
         assert (n, split_coordinates(a), split_parts(cells)) == (11, [], [])
-        assert burnside._peel_run(n, cells) == \
+        assert peel(n, cells) == \
             (a.row_bits, (), 0, [(1, 0), (1, (1 << n) - 1)])
 
 

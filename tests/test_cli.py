@@ -93,9 +93,12 @@ def test_threads_below_one_is_usage_error(capsys):
 
 
 def test_threads_rejected_before_cells_are_built(capsys, monkeypatch):
+    # the canonical count builds its runs through rational_runs, the
+    # other providers their cells through resolve_cells
     built = []
-    monkeypatch.setattr(burnside, "resolve_cells",
-                        lambda *args, **kwargs: built.append(args))
+    for name in ("rational_runs", "resolve_cells"):
+        monkeypatch.setattr(burnside, name,
+                            lambda *args, **kwargs: built.append(args))
     for args in (("count", "--n", "9", "--s", "3", "--k", "1"),
                  ("verify", "--max-n", "9")):
         assert run_cli(*args, "--threads", "0") == 2
@@ -108,7 +111,7 @@ def test_cells_are_built_once_inside_count_pairs(capsys, monkeypatch):
     # built once, while count_pairs runs
     inside, builds = [], []
     real_count_pairs = burnside.count_pairs
-    real_build = burnside.rational_cells
+    real_build = burnside.rational_runs
 
     def spy_count_pairs(*args, **kwargs):
         inside.append(True)
@@ -123,7 +126,7 @@ def test_cells_are_built_once_inside_count_pairs(capsys, monkeypatch):
 
     monkeypatch.setattr(burnside, "count_pairs", spy_count_pairs)
     monkeypatch.setattr(cli, "count_pairs", spy_count_pairs)
-    monkeypatch.setattr(burnside, "rational_cells", spy_build)
+    monkeypatch.setattr(burnside, "rational_runs", spy_build)
     assert run_cli("count", "--n", "5", "--s", "3", "--k", "1") == 0
     assert builds == [(5, True)]
     builds.clear()
@@ -140,8 +143,8 @@ def test_verify_opens_one_pool(capsys, monkeypatch):
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     builds = []
-    real_build = burnside.rational_cells
-    monkeypatch.setattr(burnside, "rational_cells",
+    real_build = burnside.rational_runs
+    monkeypatch.setattr(burnside, "rational_runs",
                         lambda n: builds.append(n) or real_build(n))
     FakePool.requested, FakePool.mapped = [], []
     assert run_cli("verify", "--max-n", "6") == 0
@@ -255,7 +258,7 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
     for name, fake, raiser in (
             ("_centralizer_order", lambda assignment: 3, "gl_classes"),
             ("group_orders", lambda n: (orders(n)[0], orders(n)[1] + 1),
-             "_fiber_cells")):
+             "_fiber_runs")):
         with monkeypatch.context() as m:
             m.setattr(conjclasses, name, fake)
             assert run_cli("count", "--n", "3", "--s", "3", "--k", "-1") == 3
@@ -264,7 +267,8 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("generators produced 1 of 24 elements")
 
-    monkeypatch.setattr(burnside, "resolve_cells", broken)
+    # the canonical count builds its runs without resolve_cells
+    monkeypatch.setattr(burnside, "rational_runs", broken)
     assert run_cli("count", "--n", "2", "--s", "2", "--k", "-1") == 3
     internal_error("broken")
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import all_elements, all_matrices
 from helpers_orbits import coset_reducer, sampled_fiber_orbits, solve_commutant
 from rmclass import conjclasses
+from rmclass.burnside import count
 from rmclass.conjclasses import (
     CellDecompositionError,
     CellFormatError,
@@ -18,6 +19,7 @@ from rmclass.conjclasses import (
     import_cells,
     irreducible_polys,
     rational_cells,
+    rational_runs,
 )
 from rmclass.gf2 import (
     identity as identity_matrix,
@@ -495,6 +497,27 @@ def test_rational_powers_are_sound():
             p: m for p in irreducible_polys(m) if p.bit_length() == m + 1}
 
 
+def x_order(p):
+    """The multiplicative order of x modulo the odd polynomial p, by
+    repeated multiplication."""
+    power, order = poly_rem(0b10, p), 1
+    while power != 1:
+        power, order = poly_rem(power << 1, p), order + 1
+    return order
+
+
+def test_min_polys_pick_the_first_primitive_polynomial():
+    # gamma = x modulo the first odd candidate P, in increasing order, of
+    # degree m whose x has order 2^m - 1; gamma^1 has minimal polynomial P
+    # x^3+x+1 is primitive; (x+1)^3 and (x^2+x+1)^2 are not
+    assert [x_order(p) for p in (0b1011, 0b1111, 0b10101)] == [7, 4, 6]
+    for m in range(1, 11):
+        order = (1 << m) - 1
+        first = next(p for p in range((1 << m) | 1, 1 << (m + 1), 2)
+                     if x_order(p) == order)
+        assert conjclasses._min_polys(m)[1 % order] == first, m
+
+
 def test_min_polys_are_cached_read_only():
     # one table per degree serves gl_classes and the merge of every n
     table = conjclasses._min_polys(5)
@@ -594,6 +617,70 @@ def test_rational_cells_are_power_classes(n):
     assert len(got) == len(want) and set(got) == want
     assert [c.size for c in rational_cells(n)] == [
         sum(class_size[key] for key in keys) for keys in got]
+
+
+def poly_mul(a, b):
+    """a times b over GF(2), both packed as ints."""
+    out = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            out ^= a << i
+    return out
+
+
+def companion_sum(assignment):
+    """The direct sum of the companion matrices of p^e for the elementary
+    divisors of the assignment, in order: the block of q of degree d maps
+    e_j to e_(j+1) for j < d - 1, and e_(d-1) to the low coefficients of q.
+    Built column by column, then read off by rows."""
+    columns = []
+    for p, lam in assignment:
+        for e in lam:
+            q = 1
+            for _ in range(e):
+                q = poly_mul(q, p)
+            off, d = len(columns), q.bit_length() - 1
+            columns += [1 << (off + j + 1) for j in range(d - 1)]
+            columns.append((q ^ 1 << d) << off)
+    n = len(columns)
+    return BitMatrix(n, n, tuple(sum((c >> i & 1) << j
+                                     for j, c in enumerate(columns))
+                                 for i in range(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gl_class_rep_is_the_companion_sum(n):
+    for cls in gl_classes(n):
+        assert cls.rep == companion_sum(cls.assignment), cls.assignment
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rational_runs_flatten_to_rational_cells(n):
+    # one run per rational group, led by its first class's rep; flattened,
+    # the runs are the rational cells, row for row, translation for
+    # translation and size for size
+    groups = conjclasses._rational_groups(n)
+    runs = rational_runs(n)
+    assert [a for a, _ in runs] == [group[0].rep for group in groups]
+    flat = [(a.row_bits, b, size) for a, cells in runs for size, b in cells]
+    assert flat == [(c.rep.a.row_bits, c.rep.b.bits, c.size)
+                    for c in rational_cells(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_a_count_builds_one_rep_per_rational_group(monkeypatch, n):
+    # GlClassDescriptor.rep is built on each read; a count reads only the
+    # rep of each rational group's first class
+    want = [group[0].rep for group in conjclasses._rational_groups(n)]
+    built = []
+
+    def spy(polys, real=conjclasses._companion_sum):
+        built.append(real(polys))
+        return built[-1]
+
+    monkeypatch.setattr(conjclasses, "_companion_sum", spy)
+    count(n, n, n - 2)
+    assert built == want
 
 
 # --- the invariant checks of the cell build ---------------------------------

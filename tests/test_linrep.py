@@ -8,6 +8,7 @@ from conftest import (
     all_elements,
     make_example,
 )
+from rmclass import linrep
 from rmclass.anf import (
     Anf,
     CoefficientVector,
@@ -382,3 +383,14 @@ def test_translated_images_add_a_top_variable():
             got = translated_images(base, n, b, s, k)
             assert read_part(got, n + 1, s, k) == \
                 read_part(monomial_images(big, s, k), n + 1, s, k), (g, k, s)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_degree_tables_match_their_definitions(n):
+    # the masks of each degree by a popcount filter, and each degree's
+    # band, top degree first, as the window of that one degree
+    assert linrep._masks_by_degree(n) == tuple(
+        tuple(u for u in range(1 << n) if u.bit_count() == i)
+        for i in range(n + 1))
+    assert linrep._degree_bands(n) == tuple(
+        _window_indicator(n, i, i - 1) for i in range(n, -1, -1))

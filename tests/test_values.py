@@ -41,8 +41,8 @@ CASES = {
                  ((2, 2, 0, BitMatrix(3, 3, (0,) * 3), SWAP), ValueError)]),
     CountResult: ((3, 3, 1, 3, 4, 0.5), []),
     ConjCell: ((SWAP, 2), [((SWAP, 0), ValueError)]),
-    GlClassDescriptor: ((GL2.assignment, GL2.rep, GL2.size, GL2.centralizer),
-                        []),
+    # three fields: rep is a property built from the assignment
+    GlClassDescriptor: ((GL2.assignment, GL2.size, GL2.centralizer), []),
     OracleEntry: (("I", 3, 1, 3, 3), []),
     OracleTable: (((ENTRY, ENTRY),),
                   [(((ENTRY, OracleEntry("II", 3, 1, 3, 4)),), ValueError)]),
