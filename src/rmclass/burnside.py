@@ -2,14 +2,14 @@
 
 For each cell (one representative g, exact size) the number of coefficient
 vectors fixed by g is 2^(d - rank(tau_g xor I)); the class count is the
-size-weighted sum over cells divided by |AGL(n,2)|. The rank is taken on the
-core of g only: its free coordinates and its odd-order blocks of order prime
-to the rest's are split off and enter through their level counts (_peel_run,
-_peel_plan). The canonical cells are the rational cells of conjclasses,
-unions of the conjugacy classes of the generators of one cyclic subgroup.
-Everything is exact integer arithmetic; a nonzero remainder in the final
-division means the cell decomposition is broken and raises instead of
-rounding.
+size-weighted sum over cells divided by |AGL(n,2)|. The rank is taken
+on the core of g only: its free coordinates and its odd-order blocks of
+order prime to the rest's are split off and enter through their level
+counts (_peel_run, _peel_plan).
+The canonical cells are the rational cells of conjclasses, unions of the
+conjugacy classes of the generators of one cyclic subgroup. Everything is
+exact integer arithmetic; a nonzero remainder in the final division means
+the cell decomposition is broken and raises instead of rounding.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from itertools import groupby
 from .anf import check_params
 from .conjclasses import (
     CellDecompositionError,
-    ConjCell,
     exhaustive_cells,
     import_cells,
-    rational_cells,
     rational_runs,
 )
 from .gf2 import BitMatrix, BitVector, Value, order_and_fixes
@@ -63,16 +61,17 @@ class ForkPool:
     interface of concurrent.futures.ProcessPoolExecutor that it uses: the
     max_workers constructor, the context manager and an ordered map.
 
-    map runs its first call in the calling process and forks one child per
-    other call, each returning its result through a pipe; the caller reads
-    each pipe to EOF and reaps every child before map returns or raises. A
-    child's exception is raised again in the caller; a child that ends
-    without a result, or an OSError from os.pipe or os.fork, raises
-    RuntimeError naming the worker, an internal failure rather than bad
-    input. If anything raises, the children still running are killed first.
-    Children are forked, so they inherit the arguments and module state
-    without pickling, and only the results are pickled. Fork only where no
-    other thread runs: _workers checks that (_can_fork)."""
+    map runs its first call in the calling process and forks one child
+    per other call, each returning its result through a pipe; the caller
+    reads each pipe to EOF and reaps every child before map returns or
+    raises. A child's exception is raised again in the caller; a child
+    that ends without a result, or an OSError from os.pipe or os.fork,
+    raises RuntimeError naming the worker, an internal failure rather
+    than bad input. If anything raises,
+    the children still running are killed first. Children are forked, so
+    they inherit the arguments and module state without pickling, and
+    only the results are pickled. Fork only where no other thread runs:
+    _workers checks that (_can_fork)."""
 
     def __init__(self, max_workers: int):
         self.max_workers = max_workers
@@ -163,22 +162,30 @@ def fix_count(g: AffineElement, s: int, k: int) -> int:
     return 1 << fixed_space_log2(monomial_images(g, s, k), g.n, [(k, s)])[0]
 
 
+def _runs(cells) -> list[tuple[AffineElement, list]]:
+    """A cell list as runs, one per block of consecutive cells with equal
+    linear parts: its first cell's element and (size, b bits) per cell."""
+    runs = [list(run) for _, run in groupby(cells, key=lambda c: c.rep.a)]
+    return [(r[0].rep, [(c.size, c.rep.b.bits) for c in r]) for r in runs]
+
+
 def resolve_cells(n: int, provider: str = "canonical", *,
-                  file=None) -> list[ConjCell]:
-    """Map a provider tag to a validated cell list for n."""
+                  file=None) -> list[tuple[AffineElement, list]]:
+    """Map a provider tag to the runs of its cells for n: rational_runs,
+    or the provider's validated cell list grouped (_runs)."""
     if file is not None and provider != "import":
         raise ValueError(f"cell file {file} is read only by provider "
                          f"'import', not {provider!r}")
     if provider == "exhaustive":
-        return exhaustive_cells(n)
+        return _runs(exhaustive_cells(n))
     if provider == "canonical":
-        return rational_cells(n)
+        return rational_runs(n)
     if provider == "import":
         cells = import_cells(file)
         if cells[0].rep.n != n:
             raise ValueError(
                 f"cell file is for n={cells[0].rep.n}, requested n={n}")
-        return cells
+        return _runs(cells)
     raise ValueError(f"unknown provider {provider!r}; expected {PROVIDERS}")
 
 
@@ -417,33 +424,26 @@ def _pair_partial_sums(wanted_by_n: dict[int, tuple[tuple[int, int], ...]],
 
 
 def _peeled_share(share, provider: str, file, cells) -> dict[int, tuple]:
-    """The first round of a count, for the n of one share: each n's runs,
-    checked and peeled (_peel_run), as {n: (number of cells, [peeled run,
-    ...])}, plain data that a pool worker returns pickled. A run is one
-    n x n linear part A and (size, translation bits) per cell, whose sizes
-    sum to |AGL(n,2)| over the runs: one per rational group for the
-    canonical provider (rational_runs), else one per block of consecutive
-    cells with equal A in cells or the provider's cells."""
+    """The first round of a count, for the n of one share: each n's runs
+    (resolve_cells, or _runs of cells), checked and peeled (_peel_run), as
+    {n: (number of cells, [peeled run, ...])}, plain data that a pool
+    worker returns pickled. A run is an element (A, b) and (size, b bits)
+    per cell of linear part A; the sizes of all runs sum to |AGL(n,2)|."""
     out = {}
     for n in share:
-        if cells is None and file is None and provider == "canonical":
-            runs = rational_runs(n)
-        else:
-            listed = (resolve_cells(n, provider, file=file) if cells is None
-                      else cells)
-            runs = [(a, [(c.size, c.rep.b.bits) for c in run])
-                    for a, run in groupby(listed, key=lambda c: c.rep.a)]
-        for a, _ in runs:
-            if a.rows != n:
+        runs = (resolve_cells(n, provider, file=file) if cells is None
+                else _runs(cells))
+        for g, _ in runs:
+            if g.n != n:
                 raise CellDecompositionError(
-                    f"a cell representative is for n={a.rows}, not n={n}")
+                    f"a cell representative is for n={g.n}, not n={n}")
         total = sum(size for _, run in runs for size, _ in run)
         order = group_orders(n)[1]
         if total != order:
             raise CellDecompositionError(
                 f"cell sizes sum to {total}, not |AGL({n},2)| = {order}")
         out[n] = (sum(len(run) for _, run in runs),
-                  [_peel_run(n, a.row_bits, run) for a, run in runs])
+                  [_peel_run(n, g.a.row_bits, run) for g, run in runs])
     return out
 
 

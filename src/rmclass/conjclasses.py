@@ -20,8 +20,9 @@ cell's representative in every window. The cell sizes must sum to
   the conjugacy classes of the g^j, which generate the same cyclic subgroup
   as g and so fix the same vectors. The canonical counting path sums over
   this shorter list (790 cells against 1967 classes at n = 10), which it
-  reads as rational_runs: one run per merged group, its leader's linear
-  part and (size, translation) per cell, with no AffineElement per cell.
+  reads as rational_runs: one run per merged group, the zero coset of its
+  leader and (size, translation) per cell, with no AffineElement per
+  other cell.
 - import_cells: read a decomposition computed elsewhere from a text file.
 
 The cells of exhaustive_cells, affine_cells and the cell file format are
@@ -46,7 +47,7 @@ from collections import Counter
 from pathlib import Path
 from types import MappingProxyType
 
-from .gf2 import BitMatrix, BitVector, SingularMatrixError, Value, rank
+from .gf2 import BitMatrix, BitVector, SingularMatrixError, Value
 from .group import (
     AffineElement,
     Permutation,
@@ -362,21 +363,20 @@ def _x1_partition(cls: GlClassDescriptor) -> tuple[int, ...]:
     return lam if poly == 0b11 else ()
 
 
-def _fiber_runs(n: int, groups) -> list[tuple[BitMatrix, list]]:
-    """The cells over each group of GL classes, one run per group: the rep
-    A of its first class, checked invertible, and (size, b) per cell, the
+def _fiber_runs(n: int, groups) -> list[tuple[AffineElement, list]]:
+    """The cells over each group of GL classes, one run per group: the
+    zero coset (A, 0) of the rep A of its first class, an AffineElement,
+    so A is checked invertible once per run, and (size, b) per cell, the
     zero coset first, then one cell per distinct x+1 block size t, largest
     first. The sizes count every class of the group."""
     runs = []
     total = 0
+    origin = BitVector(n, 0)
     for group in groups:
         lam = _x1_partition(group[0])
         if any(_x1_partition(cls) != lam for cls in group):
             raise RuntimeError("merged GL classes have different x+1 "
                                f"partitions: {group[0].assignment}")
-        rep = group[0].rep
-        if rank(rep) != n:
-            raise SingularMatrixError("linear part is singular")
         # rank(A xor I) = n - (number of x+1 blocks)
         coset = sum(cls.size for cls in group) << (n - len(lam))
         cells = [(coset, 0)]
@@ -387,16 +387,18 @@ def _fiber_runs(n: int, groups) -> list[tuple[BitMatrix, list]]:
             cells.append((coset * orbit, 1 << start))
             start += t * mult
         total += sum(size for size, _ in cells)
-        runs.append((rep, cells))
+        runs.append((AffineElement(n, group[0].rep, origin), cells))
     if total != group_orders(n)[1]:
         raise RuntimeError(f"cell sizes sum to {total}, not |AGL({n},2)|")
     return runs
 
 
 def _flat(n: int, runs) -> list[ConjCell]:
-    """The cells of the runs, in order, each with its own AffineElement."""
-    return [ConjCell(AffineElement(n, a, BitVector(n, b)), size)
-            for a, cells in runs for size, b in cells]
+    """The cells of the runs, in order: the zero coset is the run's own
+    element, every other cell has its own AffineElement."""
+    return [ConjCell(AffineElement(n, zero.a, BitVector(n, b)) if b
+                     else zero, size)
+            for zero, cells in runs for size, b in cells]
 
 
 def affine_cells(n: int) -> list[ConjCell]:
@@ -405,9 +407,9 @@ def affine_cells(n: int) -> list[ConjCell]:
     return _flat(n, _fiber_runs(n, [(cls,) for cls in gl_classes(n)]))
 
 
-def rational_runs(n: int) -> list[tuple[BitMatrix, list]]:
+def rational_runs(n: int) -> list[tuple[AffineElement, list]]:
     """The rational cells of n as the counting engine reads them, one run
-    per rational group: its linear part and (size, translation bits) per
+    per rational group: its zero coset and (size, translation bits) per
     cell (_fiber_runs). rational_cells is these runs, flattened."""
     return _fiber_runs(n, _rational_groups(n))
 

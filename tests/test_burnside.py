@@ -157,15 +157,12 @@ def test_count_pairs_takes_pairs_as_lists():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rational_counts_equal_class_counts(n):
     # the canonical path sums over rational cells; summed over the exact
-    # conjugacy classes instead, every count is the same. It peels
-    # rational_runs; given the rational cells as a list, it groups them
-    # into runs by their linear parts, and counts the same
+    # conjugacy classes instead, every count is the same
     pairs = all_pairs(n)
     merged = count_pairs(n, pairs)
-    for cells in (affine_cells(n), rational_cells(n)):
-        listed = count_pairs(n, pairs, cells=cells)
-        assert {p: r.count for p, r in merged.items()} == \
-               {p: r.count for p, r in listed.items()}
+    unmerged = count_pairs(n, pairs, cells=affine_cells(n))
+    assert {p: r.count for p, r in merged.items()} == \
+           {p: r.count for p, r in unmerged.items()}
     assert {r.cells for r in merged.values()} == {len(rational_cells(n))}
 
 
@@ -823,7 +820,10 @@ def test_resolve_cells_import_checks_n(tmp_path):
     export_cells(affine_cells(3), path)
     with pytest.raises(ValueError):
         resolve_cells(4, "import", file=path)
-    assert resolve_cells(3, "import", file=path) == affine_cells(3)
+    # the imported classes, grouped by linear part, are the runs the
+    # fiber split gives over the GL classes one by one
+    assert resolve_cells(3, "import", file=path) == conjclasses._fiber_runs(
+        3, [(cls,) for cls in gl_classes(3)])
 
 
 def test_count_rejects_bad_params():

@@ -93,12 +93,9 @@ def test_threads_below_one_is_usage_error(capsys):
 
 
 def test_threads_rejected_before_cells_are_built(capsys, monkeypatch):
-    # the canonical count builds its runs through rational_runs, the
-    # other providers their cells through resolve_cells
     built = []
-    for name in ("rational_runs", "resolve_cells"):
-        monkeypatch.setattr(burnside, name,
-                            lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(burnside, "resolve_cells",
+                        lambda *args, **kwargs: built.append(args))
     for args in (("count", "--n", "9", "--s", "3", "--k", "1"),
                  ("verify", "--max-n", "9")):
         assert run_cli(*args, "--threads", "0") == 2
@@ -267,8 +264,7 @@ def test_internal_raises_exit_3(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("generators produced 1 of 24 elements")
 
-    # the canonical count builds its runs without resolve_cells
-    monkeypatch.setattr(burnside, "rational_runs", broken)
+    monkeypatch.setattr(burnside, "resolve_cells", broken)
     assert run_cli("count", "--n", "2", "--s", "2", "--k", "-1") == 3
     internal_error("broken")
 

@@ -656,13 +656,14 @@ def test_gl_class_rep_is_the_companion_sum(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rational_runs_flatten_to_rational_cells(n):
-    # one run per rational group, led by its first class's rep; flattened,
-    # the runs are the rational cells, row for row, translation for
-    # translation and size for size
+    # one run per rational group, led by the zero coset of its first
+    # class's rep; flattened, the runs are the rational cells, row for
+    # row, translation for translation and size for size
     groups = conjclasses._rational_groups(n)
     runs = rational_runs(n)
-    assert [a for a, _ in runs] == [group[0].rep for group in groups]
-    flat = [(a.row_bits, b, size) for a, cells in runs for size, b in cells]
+    assert [(g.a, g.b.bits) for g, _ in runs] == \
+        [(group[0].rep, 0) for group in groups]
+    flat = [(g.a.row_bits, b, size) for g, cells in runs for size, b in cells]
     assert flat == [(c.rep.a.row_bits, c.rep.b.bits, c.size)
                     for c in rational_cells(n)]
 
