@@ -28,8 +28,8 @@ from .conjclasses import (
     import_cells,
     rational_runs,
 )
-from .gf2 import BitMatrix, BitVector, Value, order_and_fixes
-from .group import AffineElement, group_orders
+from .gf2 import BitMatrix, BitVector, Value
+from .group import AffineElement, group_orders, order_and_fixes
 from .linrep import fixed_space_log2, monomial_images, translated_images
 
 PROVIDERS = ("exhaustive", "canonical", "import")
@@ -226,10 +226,11 @@ def _peel_run(n: int, rows: tuple[int, ...], cells):
       that is linear on F, fixes the rest and commutes with A: it keeps
       y as its affine coordinate, put on top, and peels the other
       |F| - 1, however many bits of F b has.
-    - The other blocks are joined into components while their orders
-      share a prime, 2 included (gf2.order_and_fixes, one cached call
-      per block). A component of odd order none of whose blocks fixes a
-      nonzero vector is a part, and V1 is the union of the parts. A xor
+    - The blocks are joined into components while their orders share a
+      prime, 2 included (group.order_and_fixes, one cached call per
+      block). A component of odd order none of whose blocks fixes a
+      nonzero vector is a part, and V1 is the union of the parts; a free
+      coordinate, of order 1 and fixing its vector, is never in one. A xor
       I is invertible on V1, so a translation conjugates b's part there
       away, and g1 = (A_1, 0) has odd order prime to that of the rest
       g2; <g> = <g1> x <g2>, so g's fixed vectors are the tensors of
@@ -251,13 +252,12 @@ def _peel_run(n: int, rows: tuple[int, ...], cells):
     free = sum(b for b in blocks if not b & b - 1)
     comps = []  # (mask, order, some block fixes a vector), orders coprime
     for mask in blocks:
-        if mask & mask - 1:
-            order, fixes = order_and_fixes(_restrict(rows, mask))
-            for other in [c for c in comps if math.gcd(c[1], order) > 1]:
-                comps.remove(other)
-                mask, order = mask | other[0], math.lcm(order, other[1])
-                fixes = fixes or other[2]
-            comps.append((mask, order, fixes))
+        order, fixes = order_and_fixes(_restrict(rows, mask))
+        for other in [c for c in comps if math.gcd(c[1], order) > 1]:
+            comps.remove(other)
+            mask, order = mask | other[0], math.lcm(order, other[1])
+            fixes = fixes or other[2]
+        comps.append((mask, order, fixes))
     parts = sorted(mask for mask, order, fixes in comps
                    if order & 1 and not fixes)
     core = (1 << n) - 1 ^ free ^ sum(parts)

@@ -41,6 +41,7 @@ the classes of every n.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from collections import Counter
@@ -49,6 +50,7 @@ from types import MappingProxyType
 
 from .gf2 import BitMatrix, BitVector, SingularMatrixError, Value
 from .group import (
+    MAX_N,
     AffineElement,
     Permutation,
     element_from_text,
@@ -194,8 +196,8 @@ def _primary_centralizer(degree: int, lam: tuple[int, ...]) -> int:
 def gl_classes(n: int) -> list[GlClassDescriptor]:
     """All conjugacy classes of GL(n,2): every assignment of partitions to
     irreducible polynomials with total degree-weighted size n."""
-    if not 1 <= n <= 10:
-        raise ValueError(f"n={n} out of supported range 1..10")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n={n} out of supported range 1..{MAX_N}")
     polys = irreducible_polys(n)
     gl_order = group_orders(n)[0]
 
@@ -242,12 +244,15 @@ def gl_classes(n: int) -> list[GlClassDescriptor]:
 # identity on V/Im(A xor I); so the fiber orbit index t carries over, and
 # the fiber split below runs once per merged group, with the sizes summed.
 #
-# Every semisimple order divides L = lcm(2^m - 1, m <= 10) = 3^2 5 7 11 17
-# 31 73 127, so any odd power prime to L is sound. The merge is the orbit
-# partition under the group these primes generate; a brute loop over every
-# j gives the same cells for n <= 10. A missing generator only merges less.
-_SEMISIMPLE_LCM = math.lcm(*((1 << m) - 1 for m in range(1, 11)))
-_POWERS = (13, 19, 23, 29, 37, 41, 43, 47)
+# On n variables every semisimple order divides L(n) = lcm(2^m - 1,
+# m <= n), so any odd power prime to L(n) is sound, and _powers(n) takes
+# the first eight (13, 19, 23, 29, 37, 41, 43, 47 at n = 10). The merge is
+# the orbit partition under the group they generate; a brute loop over
+# every j gives the same cells. A missing generator only merges less.
+def _powers(n: int) -> tuple[int, ...]:
+    lcm = math.lcm(*((1 << m) - 1 for m in range(1, n + 1)))
+    return tuple(itertools.islice(
+        (r for r in itertools.count(3, 2) if math.gcd(r, lcm) == 1), 8))
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,13 +303,11 @@ def _min_polys(m: int) -> MappingProxyType[int, int]:
 def _rational_groups(n: int) -> list[tuple[GlClassDescriptor, ...]]:
     """The GL(n,2) classes of A^j for every j prime to ord(A), one tuple
     per cyclic subgroup, each led by its first class, in that order."""
-    for r in _POWERS:
-        if r % 2 == 0 or math.gcd(r, _SEMISIMPLE_LCM) != 1:
-            raise RuntimeError(f"power {r} is not prime to 2 L")
+    powers = _powers(n)
     classes = gl_classes(n)
     # an assignment names each polynomial once, so its set of pairs is a key
     index = {frozenset(cls.assignment): i for i, cls in enumerate(classes)}
-    # p -> the minimal polynomials of alpha^r, r in _POWERS, p(alpha) = 0;
+    # p -> the minimal polynomials of alpha^r, r in powers, p(alpha) = 0;
     # any root of p gives the same ones, so the first exponent serves
     power_of = {}
     for m in range(1, n + 1):
@@ -312,7 +315,7 @@ def _rational_groups(n: int) -> list[tuple[GlClassDescriptor, ...]]:
         order = (1 << m) - 1
         for e, p in by_exp.items():
             if p not in power_of:
-                power_of[p] = tuple(by_exp[e * r % order] for r in _POWERS)
+                power_of[p] = tuple(by_exp[e * r % order] for r in powers)
 
     # walk each orbit: the loop over group also visits what it appends
     placed = set()
@@ -324,7 +327,7 @@ def _rational_groups(n: int) -> list[tuple[GlClassDescriptor, ...]]:
         group = [i]
         for j in group:
             polys, lams = zip(*classes[j].assignment)
-            for r, images in zip(_POWERS,
+            for r, images in zip(powers,
                                  zip(*(power_of[p] for p in polys))):
                 if images == polys:
                     continue  # A^r lies in A's own class
@@ -544,7 +547,7 @@ def import_cells(path) -> list[ConjCell]:
     if not head:
         raise CellFormatError(f"{path}: bad header {lines[0]!r}")
     n, count = int(head.group(1)), int(head.group(2))
-    if not 1 <= n <= 10:
+    if not 1 <= n <= MAX_N:
         raise CellFormatError(f"{path}: unsupported n={n}")
     if len(lines) != 1 + count * (n + 2):
         raise CellFormatError(f"{path}: {len(lines)} lines, expected "

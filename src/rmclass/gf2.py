@@ -16,8 +16,6 @@ on assignment or deletion. It generates no code.
 
 from __future__ import annotations
 
-import functools
-import math
 from typing import Iterable, Sequence
 
 _set_field = object.__setattr__
@@ -281,33 +279,6 @@ def inverse(m: BitMatrix) -> BitMatrix:
         raise SingularMatrixError(f"rank < {n}")
     low = (1 << n) - 1
     return BitMatrix(n, n, tuple(r & low for r in reversed(rows)))
-
-
-@functools.lru_cache(maxsize=None)
-def order_and_fixes(rows: tuple[int, ...]) -> tuple[int, bool]:
-    """The multiplicative order of the invertible square matrix with these
-    rows, the lcm of the cycle lengths of the unit vectors in the table of
-    its images of all 2^d vectors, and whether that table has a nonzero
-    fixed point. A unit vector met on another's cycle is not walked
-    again."""
-    d = len(rows)
-    cols = [sum((row >> j & 1) << i for i, row in enumerate(rows))
-            for j in range(d)]
-    image = [0] * (1 << d)
-    for v in range(1, 1 << d):
-        low = v & -v
-        image[v] = image[v ^ low] ^ cols[low.bit_length() - 1]
-    order, walked = 1, 0
-    for j in range(d):
-        if walked >> j & 1:
-            continue
-        v, steps = image[1 << j], 1
-        while v != 1 << j:
-            if not v & v - 1:
-                walked |= v
-            v, steps = image[v], steps + 1
-        order = math.lcm(order, steps)
-    return order, any(image[v] == v for v in range(1, 1 << d))
 
 
 def _rref_rows(rows: list[int], width: int) -> list[int]:

@@ -8,6 +8,8 @@ most significant bit of the index.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 
 from .gf2 import (
@@ -21,6 +23,10 @@ from .gf2 import (
     mat_vec,
     rank,
 )
+
+# the largest n the package supports, as in the source paper; every size
+# check of a group, a class list or a cell file reads this one value
+MAX_N = 10
 
 
 class NotAffineError(ValueError):
@@ -141,6 +147,18 @@ def to_permutation(g: AffineElement) -> Permutation:
     return Permutation(n, tuple(images))
 
 
+@functools.lru_cache(maxsize=None)
+def order_and_fixes(rows: tuple[int, ...]) -> tuple[int, bool]:
+    """The multiplicative order of the invertible square matrix B with
+    these rows, and whether B fixes a nonzero vector, both read off the
+    cycle type of the permutation of (B, 0): the order is the lcm of the
+    cycle lengths, and 0 is always one fixed point."""
+    d = len(rows)
+    lens = to_permutation(AffineElement(d, BitMatrix(d, d, rows),
+                                        BitVector(d, 0))).cycle_type()
+    return math.lcm(*lens), lens.count(1) > 1
+
+
 def from_permutation(sigma: Permutation) -> AffineElement:
     """Invert the permutation picture: b = B(sigma(0)), column j of A =
     B(sigma(I(e_j))) xor b with I(e_j) = 2^(n-j). Raises NotAffineError when
@@ -192,8 +210,8 @@ def element_from_text(text: str) -> AffineElement:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"bad element header {lines[0]!r}") from None
-    if not 1 <= n <= 10:
-        raise ValueError(f"n={n} out of supported range 1..10")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n={n} out of supported range 1..{MAX_N}")
     if len(lines) != n + 2:
         raise ValueError(f"expected {n + 2} lines, got {len(lines)}")
     for ln in lines[1:]:

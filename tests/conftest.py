@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from rmclass import burnside
+from rmclass import burnside, conjclasses, group
 from rmclass.burnside import InexactDivisionError, count
 from rmclass.conjclasses import ConjCell
 from rmclass.gf2 import BitMatrix, BitVector, rank
@@ -44,6 +44,18 @@ def example_element() -> AffineElement:
 
 _matrix_cache: dict[int, list[BitMatrix]] = {}
 _element_cache: dict[int, list[AffineElement]] = {}
+
+
+def lift_max_n(monkeypatch, n: int) -> None:
+    """Let sizes up to n past the package's MAX_N through every module that
+    reads it, for the tests that run the engine beyond the paper's range."""
+    for module in (group, conjclasses):
+        monkeypatch.setattr(module, "MAX_N", max(module.MAX_N, n))
+
+
+def random_matrix(n: int, rng) -> BitMatrix:
+    """An n x n matrix with uniformly random rows, invertible or not."""
+    return BitMatrix(n, n, tuple(rng.randrange(1 << n) for _ in range(n)))
 
 
 def all_matrices(n: int) -> list[BitMatrix]:

@@ -20,6 +20,7 @@ from conftest import (
     assert_reaped,
     find_inexact_swap,
     in_workers,
+    lift_max_n,
     make_example,
 )
 from helpers_oracle import (
@@ -1396,6 +1397,26 @@ def test_counts_match_pinned_windows(n):
     assert {p: r.count for p, r in got.items()} == pinned_windows()[n]
 
 
+def test_random_multi_n_counts_match_pinned_windows():
+    # seeded calls of 2 to 6 random windows (m, k, s), 3 <= m <= n, over
+    # n = 6..10: the n of one call share their core groups and split
+    # parts' level hulls, which a call over one n never mixes. A part
+    # that recurs at a later n with a higher lowest level must keep the
+    # hull of the earlier one
+    rng = random.Random(7)
+    pinned = pinned_windows()
+    for _ in range(60):
+        n = rng.randint(6, 10)
+        windows = set()
+        for _ in range(rng.randint(2, 6)):
+            m = rng.randint(3, n)
+            k = rng.randint(-1, m - 1)
+            windows.add((m, k, rng.randint(k + 1, m)))
+        got = count_pairs(n, sorted(windows))
+        assert {w: r.count for w, r in got.items()} == \
+            {w: pinned[w[0]][w[1:]] for w in windows}, (n, sorted(windows))
+
+
 def test_pinned_windows_n4_are_the_orbit_counts():
     # the orbits counted directly, as connected components under the
     # generators, with no Burnside sum: an independent count of the 13
@@ -1408,17 +1429,51 @@ def test_pinned_windows_n4_are_the_orbit_counts():
             for k, s in valid_pairs(4)} == pinned_windows()[4]
 
 
+def point_cycle_sum(cells):
+    """The Burnside sum of the window (-1, n] with no elimination: an
+    element fixes a function of it iff the function is constant on its
+    point cycles."""
+    return sum(c.size << len(to_permutation(c.rep).cycle_type())
+               for c in cells)
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_full_window_is_the_point_cycle_sum(n):
-    # an element fixes a function of (-1, n] iff the function is constant
-    # on its point cycles: no elimination. The sum over either cell list,
-    # divided by |AGL(n,2)|, is the pinned count, and the engine, whose
-    # peel then takes every j of its convolution, gives it for n <= 8
+    # the sum over either cell list, divided by |AGL(n,2)|, is the pinned
+    # count, and the engine, whose peel then takes every j of its
+    # convolution, gives it for n <= 8
     want = pinned_windows()[n][(-1, n)]
     order = group_orders(n)[1]
     for cells in (rational_cells(n), affine_cells(n)):
-        total = sum(c.size << len(to_permutation(c.rep).cycle_type())
-                    for c in cells)
-        assert total == want * order
+        assert point_cycle_sum(cells) == want * order
     if n <= 8:
         assert count(n, n, -1).count == want
+
+
+def gl_class_counts(n):
+    """The coefficients of x^0..x^n in prod_{r>=1} (1 - x^r)/(1 - 2x^r),
+    the number of conjugacy classes of GL(n,2)."""
+    series = [1] + [0] * n
+    for r in range(1, n + 1):
+        for i in range(n, r - 1, -1):  # times 1 - x^r
+            series[i] -= series[i - r]
+        for i in range(r, n + 1):  # divided by 1 - 2x^r
+            series[i] += 2 * series[i - r]
+    return series
+
+
+@pytest.mark.extended
+def test_eleven_variables_past_the_supported_range(monkeypatch):
+    # the merge's powers follow n, so lifting the one size limit counts
+    # n = 11 with no reference rows: its GL classes are the generating
+    # function's, every division of the full table is exact (count_pairs
+    # raises otherwise), no mirror pair differs, and the full window is
+    # the point-cycle sum over the rational cells
+    lift_max_n(monkeypatch, 11)
+    assert [len(gl_classes(n)) for n in range(1, 12)] == \
+        gl_class_counts(11)[1:]
+    assert len(gl_classes(11)) == 1998
+    got = {p: r.count for p, r in count_pairs(11, all_pairs(11)).items()}
+    assert all(got[k, s] == got[10 - s, 10 - k] for k, s in got)
+    assert point_cycle_sum(rational_cells(11)) == \
+        got[-1, 11] * group_orders(11)[1]

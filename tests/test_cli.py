@@ -69,6 +69,26 @@ def test_count_providers_agree(capsys, tmp_path):
     assert results == ["10"] * 4
 
 
+def test_sizes_past_the_limit_exit_2(capsys, monkeypatch, tmp_path):
+    # every command that takes a size refuses n = 11 with the message of
+    # the one limit, MAX_N
+    path = tmp_path / "cells11.txt"
+    path.write_text("rmclass-cells v1 n=11 count=1\ncell 0 size 1\n")
+    identity11 = ["".join("1" if j == i else "0" for j in range(11))
+                  for i in range(11)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "\n".join(["11"] + identity11 + ["0" * 11])))
+    limit = "n=11 out of supported range 1..10"
+    for args, err in [
+            (("count", "--n", "11", "--s", "11", "--k", "9"), limit),
+            (("classes", "--n", "11", "--file", str(tmp_path / "out")), limit),
+            (("verify", "--max-n", "11", "--provider", "import",
+              "--file", str(path)), f"{path}: unsupported n=11"),
+            (("tau", "--s", "2", "--k", "-1"), limit)]:
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_count_usage_errors(capsys):
     assert run_cli("count", "--n", "3", "--s", "4", "--k", "1") == 2
     assert run_cli("count", "--n", "3", "--s", "2", "--k", "2") == 2

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import all_elements, all_matrices
+from conftest import all_elements, all_matrices, lift_max_n
 from helpers_orbits import coset_reducer, sampled_fiber_orbits, solve_commutant
 from rmclass import conjclasses
 from rmclass.burnside import count
@@ -486,10 +486,16 @@ def test_rational_cells_cover_group():
 
 def test_rational_powers_are_sound():
     # every power must be prime to the order of every semisimple part, or
-    # it would merge the classes of elements with different cyclic groups
-    for r in conjclasses._POWERS:
-        assert r % 2 == 1
-        assert all(math.gcd(r, (1 << m) - 1) == 1 for m in range(1, 11))
+    # it would merge the classes of elements with different cyclic groups;
+    # past n = 10 too, where 23 divides 2^11 - 1
+    for n in range(1, 13):
+        powers = conjclasses._powers(n)
+        assert len(set(powers)) == 8 and min(powers) > 1
+        for r in powers:
+            assert r % 2 == 1
+            assert all(math.gcd(r, (1 << m) - 1) == 1
+                       for m in range(1, n + 1))
+    assert conjclasses._powers(10) == (13, 19, 23, 29, 37, 41, 43, 47)
     for m in range(1, 11):
         # each irreducible of degree m is the minimal polynomial of its m
         # roots, and of nothing else
@@ -552,10 +558,12 @@ def rational_cell_classes(n):
     return out
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_rational_merge_is_every_power(n):
+@pytest.mark.parametrize("n", [
+    *range(1, 11), pytest.param(11, marks=pytest.mark.extended)])
+def test_rational_merge_is_every_power(monkeypatch, n):
     # a brute loop over every j prime to each class's semisimple order:
-    # the fixed powers generate the same merge
+    # the powers derived from n generate the same merge, past n = 10 too
+    lift_max_n(monkeypatch, n)
     roots = {m: conjclasses._min_polys(m) for m in range(1, n + 1)}
     exps = {p: (m, e) for m, by_exp in roots.items()
             for e, p in by_exp.items()}
@@ -694,11 +702,9 @@ def gl2_groups(*indices):
 
 
 @pytest.mark.parametrize("name, fake, match", [
-    # 3 divides 2^2 - 1, so g^3 may generate a smaller cyclic group than g
-    ("_POWERS", (3,) + conjclasses._POWERS, "not prime"),
     # a table that names x+1 as the minimal polynomial of a root of degree
-    # 2: the power 23 then swaps x+1 and x^2+x+1, and the image of the
-    # identity has degree 4
+    # 2: the power 5 then sends x^2+x+1 to x+1, and the image of the class
+    # of x^2+x+1 has degree 1
     ("_min_polys",
      lambda m, real=conjclasses._min_polys:
          {1: 0b11, 2: 0b111} if m == 2 else real(m),
@@ -706,8 +712,7 @@ def gl2_groups(*indices):
     ("_rational_groups", gl2_groups((0, 1), (2,)), "x\\+1 partitions"),
     # a merge that loses the class of x^2+x+1
     ("_rational_groups", gl2_groups((0,), (1,)), "sum"),
-], ids=["power-not-prime", "image-no-class", "mixed-x1-partitions",
-        "size-sum"])
+], ids=["image-no-class", "mixed-x1-partitions", "size-sum"])
 def test_cell_build_invariants_raise(monkeypatch, name, fake, match):
     # the GL classes come from the real tables, so a fake table reaches
     # only the merge

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import TAU_ROWS_UNREACHABLE, all_matrices
+from conftest import TAU_ROWS_UNREACHABLE, all_matrices, random_matrix
 from helpers_oracle import gf2_rank
 from helpers_orbits import solve_commutant
 from rmclass.gf2 import (
@@ -13,14 +13,9 @@ from rmclass.gf2 import (
     inverse,
     mat_mul,
     mat_vec,
-    order_and_fixes,
     rank,
     rank_of_rows,
 )
-
-
-def random_matrix(n, rng):
-    return BitMatrix(n, n, tuple(rng.randrange(1 << n) for _ in range(n)))
 
 
 def zero_matrix(n):
@@ -275,18 +270,3 @@ def test_solve_commutant_exhaustive_cross_check():
             == mat_mul(a, x))
         assert 1 << len(solve_commutant(a)) == expected
 
-
-def test_order_and_fixes_match_repeated_multiplication():
-    # every invertible matrix up to 3x3 and 200 random ones up to 7x7:
-    # the order by multiplying until the identity, and a nonzero fixed
-    # vector exactly when A xor I is singular
-    rng = random.Random(5)
-    sampled = [random_matrix(rng.randrange(4, 8), rng) for _ in range(200)]
-    matrices = [m for n in (1, 2, 3) for m in all_matrices(n)]
-    matrices += [m for m in sampled if rank(m) == m.rows]
-    for m in matrices:
-        power, order = m, 1
-        while power != identity(m.rows):
-            power, order = mat_mul(power, m), order + 1
-        fixes = rank(m ^ identity(m.rows)) < m.rows
-        assert order_and_fixes(m.row_bits) == (order, fixes), str(m)

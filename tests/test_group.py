@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from conftest import all_elements, make_example
+from conftest import all_elements, all_matrices, make_example, random_matrix
 from helpers_oracle import agl_order
+from rmclass import burnside
+from rmclass.conjclasses import rational_runs
 from rmclass.gf2 import BitMatrix, BitVector, SingularMatrixError, identity as identity_matrix
+from rmclass.gf2 import mat_mul, rank
 from rmclass.group import (
     AffineElement,
     NotAffineError,
@@ -18,6 +21,7 @@ from rmclass.group import (
     identity,
     index_of_point,
     inverse,
+    order_and_fixes,
     point_of_index,
     random_element,
     to_permutation,
@@ -184,3 +188,33 @@ def test_element_from_text_rejects_malformed():
                  "\n".join(["11"] + identity11 + ["0" * 11])]:
         with pytest.raises((ValueError, NotAffineError)):
             element_from_text(text)
+
+
+def test_order_and_fixes_match_repeated_multiplication(monkeypatch):
+    # every invertible matrix up to 3x3, 200 random ones up to 7x7 and
+    # every block the peel meets on the rational runs of n <= 10: the
+    # order by multiplying until the identity, and a nonzero fixed vector
+    # exactly when A xor I is singular
+    rng = random.Random(5)
+    sampled = [random_matrix(rng.randrange(4, 8), rng) for _ in range(200)]
+    matrices = [m for n in (1, 2, 3) for m in all_matrices(n)]
+    matrices += [m for m in sampled if rank(m) == m.rows]
+    blocks = set()
+
+    def spy(rows, real=burnside.order_and_fixes):
+        blocks.add(rows)
+        return real(rows)
+
+    monkeypatch.setattr(burnside, "order_and_fixes", spy)
+    for n in range(1, 11):
+        for g, run in rational_runs(n):
+            burnside._peel_run(n, g.a.row_bits, run)
+    # 46 blocks of two or more coordinates, and a free coordinate's (1,)
+    assert len(blocks) == 47 and (1,) in blocks
+    matrices += [BitMatrix(len(rows), len(rows), rows) for rows in blocks]
+    for m in matrices:
+        power, order = m, 1
+        while power != identity_matrix(m.rows):
+            power, order = mat_mul(power, m), order + 1
+        fixes = rank(m ^ identity_matrix(m.rows)) < m.rows
+        assert order_and_fixes(m.row_bits) == (order, fixes), str(m)
