@@ -169,24 +169,31 @@ def _runs(cells) -> list[tuple[AffineElement, list]]:
     return [(r[0].rep, [(c.size, c.rep.b.bits) for c in r]) for r in runs]
 
 
-def resolve_cells(n: int, provider: str = "canonical", *,
-                  file=None) -> list[tuple[AffineElement, list]]:
-    """Map a provider tag to the runs of its cells for n: rational_runs,
-    or the provider's validated cell list grouped (_runs)."""
+def resolve_cells(n: int, provider: str = "canonical", *, file=None,
+                  cells=None) -> list[tuple[AffineElement, list]]:
+    """The runs of the cells for n of one source: the cells given, or
+    else the provider's, rational_runs or its validated cell list, grouped
+    (_runs). The provider must be known whatever the source, and a cell
+    file is read only by provider import, with no cells given."""
+    if provider not in PROVIDERS:
+        raise ValueError(
+            f"unknown provider {provider!r}; expected {PROVIDERS}")
+    if file is not None and cells is not None:
+        raise ValueError(f"cell file {file} given beside a cell list")
     if file is not None and provider != "import":
         raise ValueError(f"cell file {file} is read only by provider "
                          f"'import', not {provider!r}")
-    if provider == "exhaustive":
-        return _runs(exhaustive_cells(n))
+    if cells is not None:
+        return _runs(cells)
     if provider == "canonical":
         return rational_runs(n)
-    if provider == "import":
-        cells = import_cells(file)
-        if cells[0].rep.n != n:
-            raise ValueError(
-                f"cell file is for n={cells[0].rep.n}, requested n={n}")
-        return _runs(cells)
-    raise ValueError(f"unknown provider {provider!r}; expected {PROVIDERS}")
+    if provider == "exhaustive":
+        return _runs(exhaustive_cells(n))
+    cells = import_cells(file)
+    if cells[0].rep.n != n:
+        raise ValueError(
+            f"cell file is for n={cells[0].rep.n}, requested n={n}")
+    return _runs(cells)
 
 
 def _squeeze(bits: int, keep: int) -> int:
@@ -337,12 +344,14 @@ def _part_levels(part: AffineElement, lo: int, hi: int) -> tuple[int, ...]:
 def _peel_groups(runs_by_n: dict[int, list],
                  wanted_by_n: dict[int, tuple[tuple[int, int], ...]]):
     """The peeled runs of every n (_peel_run) grouped by their exact core
-    zero coset (A_2, 0), keyed by the rows of A_2: a list of
-    (zero, {n: [(size, b, N), ...]}) in order of first appearance, where
-    b is the cell's core translation, with a kept y as bit m, and N its
-    level counts (_peel_plan). Runs with equal keys share a group,
-    whatever their n, their split part or their place in the list, and
-    one AffineElement is built per distinct core and part.
+    zero coset (A_2, 0), keyed by the rows of A_2, as a table of the
+    distinct core elements: a list of (zero, {b: {n: {N: summed size}}}),
+    where b is a core translation, with a kept y as bit m, N the level
+    counts of the cells at n that reduce to (A_2, b) (_peel_plan), and
+    the size the sum of theirs. Runs with equal keys share a group,
+    whatever their n, their split part or their place in the list; groups
+    and elements are in order of first appearance, n increasing, and one
+    AffineElement is built per distinct core and part.
 
     Each distinct part of a split part g1 makes one fixed_space_log2
     call (_part_levels) for only the levels l that some pair of some n
@@ -350,32 +359,30 @@ def _peel_groups(runs_by_n: dict[int, list],
     rest of the cell's peeled coordinates and its core fill the other
     n - u. N is those lists convolved with each other and with the
     binomials of the cell's free coordinates (_level_counts)."""
-    groups: dict[tuple[int, ...], tuple] = {}
     hulls: dict[tuple[int, ...], list[int]] = {}  # part's rows -> [lo, hi]
     for n, runs in runs_by_n.items():
         k0 = min(k for k, _ in wanted_by_n[n])
         top = max(s for _, s in wanted_by_n[n])
-        for core, parts, r, peeled in runs:
+        for _, parts, _, _ in runs:
             for rows in parts:
                 lo, hi = max(k0 + 1 - n + len(rows), 0), min(top, len(rows))
                 hull = hulls.setdefault(rows, [lo, hi])
                 hull[0], hull[1] = min(hull[0], lo), max(hull[1], hi)
-            if core not in groups:
-                groups[core] = (_zero_coset(core), {})
-            # (free coordinates peeled, the parts' rows) for N, by kept
-            shapes = ((r, parts), (r - 1, parts))
-            groups[core][1].setdefault(n, []).extend(
-                (size, b, shapes[b >> len(core)]) for size, b in peeled)
     counts = {rows: _part_levels(_zero_coset(rows), lo, hi)
               for rows, (lo, hi) in hulls.items()}
+    groups: dict[tuple[int, ...], tuple] = {}
     levels = {}  # (free coordinates, the parts' rows) -> N, one tuple each
-    for _, by_n in groups.values():
-        for cells in by_n.values():
-            for i, (size, b, (r, key)) in enumerate(cells):
-                if (r, key) not in levels:
-                    levels[r, key] = _level_counts(
-                        r, [counts[rows] for rows in key])
-                cells[i] = (size, b, levels[r, key])
+    for n, runs in runs_by_n.items():
+        for core, parts, r, peeled in runs:
+            if core not in groups:
+                groups[core] = (_zero_coset(core), {})
+            for size, b in peeled:
+                key = (r - (b >> len(core)), parts)
+                if key not in levels:
+                    levels[key] = _level_counts(
+                        key[0], [counts[rows] for rows in parts])
+                sizes = groups[core][1].setdefault(b, {}).setdefault(n, {})
+                sizes[levels[key]] = sizes.get(levels[key], 0) + size
     return list(groups.values())
 
 
@@ -395,17 +402,12 @@ def _pair_partial_sums(wanted_by_n: dict[int, tuple[tuple[int, int], ...]],
     cell's n-variable fixdims are convolved from that one list with the
     cell's level counts N."""
     sums = {n: [0] * len(pairs) for n, pairs in wanted_by_n.items()}
-    for zero, by_n in groups:
+    for zero, elements in groups:
         m = zero.n
+        ns = sorted({n for by_n in elements.values() for n in by_n})
         _, k0, top, _ = _peel_plan(tuple((n, n - m, wanted_by_n[n])
-                                         for n in by_n))
+                                         for n in ns))
         base = monomial_images(zero, top, k0)
-        # core b, with a kept y as bit m -> {n: {N: summed cell sizes}}
-        elements: dict[int, dict[int, dict[tuple, int]]] = {}
-        for n, cells in by_n.items():
-            for size, b, levels in cells:
-                sizes = elements.setdefault(b, {}).setdefault(n, {})
-                sizes[levels] = sizes.get(levels, 0) + size
         for b, sizes_by_n in elements.items():
             v = m + (b >> m)  # the element's variables
             windows, k, s, terms = _peel_plan(tuple(
@@ -423,16 +425,15 @@ def _pair_partial_sums(wanted_by_n: dict[int, tuple[tuple[int, int], ...]],
     return sums
 
 
-def _peeled_share(share, provider: str, file, cells) -> dict[int, tuple]:
+def _peeled_share(share, provider: str, file, cells) -> dict[int, list]:
     """The first round of a count, for the n of one share: each n's runs
-    (resolve_cells, or _runs of cells), checked and peeled (_peel_run), as
-    {n: (number of cells, [peeled run, ...])}, plain data that a pool
-    worker returns pickled. A run is an element (A, b) and (size, b bits)
-    per cell of linear part A; the sizes of all runs sum to |AGL(n,2)|."""
+    (resolve_cells), checked and peeled (_peel_run), as
+    {n: [peeled run, ...]}, plain data that a pool worker returns
+    pickled. A run is an element (A, b) and (size, b bits) per cell of
+    linear part A; the sizes of all runs sum to |AGL(n,2)|."""
     out = {}
     for n in share:
-        runs = (resolve_cells(n, provider, file=file) if cells is None
-                else _runs(cells))
+        runs = resolve_cells(n, provider, file=file, cells=cells)
         for g, _ in runs:
             if g.n != n:
                 raise CellDecompositionError(
@@ -442,8 +443,7 @@ def _peeled_share(share, provider: str, file, cells) -> dict[int, tuple]:
         if total != order:
             raise CellDecompositionError(
                 f"cell sizes sum to {total}, not |AGL({n},2)| = {order}")
-        out[n] = (sum(len(run) for _, run in runs),
-                  [_peel_run(n, g.a.row_bits, run) for g, run in runs])
+        out[n] = [_peel_run(n, g.a.row_bits, run) for g, run in runs]
     return out
 
 
@@ -528,12 +528,10 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
                          f"only, not n={min(other)}")
     start = time.perf_counter()
     shares = _deal(wanted_by_n, _workers(threads, len(wanted_by_n)))
-    peeled = {}
-    for share in _pooled(_peeled_share, shares, [provider] * len(shares),
-                         [file] * len(shares), [cells] * len(shares)):
-        peeled.update(share)
-    groups = _peel_groups({m: peeled[m][1] for m in wanted_by_n},
-                          wanted_by_n)
+    built = _pooled(_peeled_share, shares, [provider] * len(shares),
+                    [file] * len(shares), [cells] * len(shares))
+    peeled = dict(sorted(p for share in built for p in share.items()))
+    groups = _peel_groups(peeled, wanted_by_n)
     workers = _workers(threads, len(groups))
     # whole groups, so that each group's images are built in one slice
     partials = _pooled(_pair_partial_sums, [wanted_by_n] * workers,
@@ -542,6 +540,7 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     results = {}
     for m, w in wanted_by_n.items():
         order = group_orders(m)[1]
+        n_cells = sum(len(run) for *_, run in peeled[m])
         for i, (k, s) in enumerate(w):
             acc = sum(p[m][i] for p in partials)
             q, rem = divmod(acc, order)
@@ -549,8 +548,7 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
                 raise InexactDivisionError(
                     f"n={m} s={s} k={k}: Burnside sum {acc} leaves "
                     f"remainder {rem} mod |AGL({m},2)| and quotient {q}")
-            results[m, k, s] = CountResult(m, s, k, q, peeled[m][0],
-                                           elapsed)
+            results[m, k, s] = CountResult(m, s, k, q, n_cells, elapsed)
     return {p: results[w] for p, w in zip(entries, windows)}
 
 

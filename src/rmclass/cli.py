@@ -101,10 +101,11 @@ def cmd_verify(args) -> int:
     wanted = [e for e in oracle.entries
               if e.n <= args.max_n and (args.table is None
                                         or e.table == args.table)]
-    cells = None
+    cells, file = None, args.file
     if args.provider == "import":
-        # a cell file holds one n: read it once and check only that n's rows
-        cells = import_cells(args.file)
+        # a cell file holds one n: read it once, count over its cells, and
+        # check only that n's rows
+        cells, file = import_cells(args.file), None
         wanted = [e for e in wanted if e.n == cells[0].rep.n]
     if not wanted:
         raise ValueError(
@@ -115,7 +116,7 @@ def cmd_verify(args) -> int:
     # or a count that fails at a later n leaves no partial report
     windows = sorted({(e.n, e.k, e.s) for e in wanted})
     results = count_pairs(max(e.n for e in wanted), windows, args.provider,
-                          threads=args.threads, file=args.file, cells=cells)
+                          threads=args.threads, file=file, cells=cells)
     failures = 0
     for e in sorted(wanted, key=lambda e: e.n):
         got = results[e.n, e.k, e.s].count

@@ -32,7 +32,7 @@ from helpers_oracle import (
     valid_pairs,
 )
 import rmclass
-from rmclass import burnside, conjclasses
+from rmclass import burnside, conjclasses, linrep
 from rmclass.burnside import (
     InexactDivisionError,
     all_pairs,
@@ -170,11 +170,13 @@ def test_rational_counts_equal_class_counts(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_peeled_runs_equal_the_peeled_flat_cells(n):
     # the first round peels each canonical run as it peels the same cells
-    # flattened and grouped back by their linear parts
+    # flattened and grouped back by their linear parts; the peeled runs
+    # hold every cell, so a count reads its cell number off them
     share = burnside._peeled_share([n], "canonical", None, None)
     assert share == burnside._peeled_share([n], "canonical", None,
                                            rational_cells(n))
-    assert len(share[n][1]) == len(conjclasses._rational_groups(n))
+    assert len(share[n]) == len(conjclasses._rational_groups(n))
+    assert sum(len(run) for *_, run in share[n]) == len(rational_cells(n))
 
 
 def test_canonical_path_builds_no_conjugacy_classes(monkeypatch):
@@ -621,6 +623,35 @@ def test_sweep_eliminates_each_reduced_element_once(monkeypatch, windows):
     assert sorted(elements) == sorted([*cores, *parts])
 
 
+@pytest.mark.parametrize("n, windows, work", [
+    (9, lambda: all_pairs(9), (91, 98, 189, 47_592)),
+    (10, lambda: [(8, 10)], (156, 154, 310, 2_912)),
+    (10, lambda: reference_windows(10), (156, 154, 310, 162_905)),
+], ids=["all-pairs-9", "window-8-10-of-10", "reference-rows-10"])
+def test_sweep_work_is_pinned(monkeypatch, n, windows, work):
+    # the counts alone miss a sweep that does more work than it needs: a
+    # split part eliminated on all its levels instead of the hull the
+    # pairs read (21,005 rows on the window (8, 10] of n = 10), cores
+    # grouped per n instead of across n, or parts without duality (51,103
+    # rows on all pairs of n = 9) all count right. So the calls of each
+    # kernel, and the rows the elimination takes in, are pinned exactly
+    done = collections.Counter()
+    for name in ("monomial_images", "translated_images", "fixed_space_log2"):
+        def spy(*args, real=getattr(burnside, name), name=name):
+            done[name] += 1
+            return real(*args)
+        monkeypatch.setattr(burnside, name, spy)
+
+    def rank_spy(rows, *args, real=linrep.rank_of_rows):
+        done["rows"] += len(rows)
+        return real(rows, *args)
+
+    monkeypatch.setattr(linrep, "rank_of_rows", rank_spy)
+    count_pairs(n, windows())
+    assert (done["monomial_images"], done["translated_images"],
+            done["fixed_space_log2"], done["rows"]) == work
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_one_sweep_counts_as_one_call_per_n(monkeypatch, threads):
     # every window of n = 1..8 over the rational cells, and of n = 1..4
@@ -727,8 +758,8 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
             sorted(map(str, expected_builds(cells)))
         assert sorted(peeled) == sorted(map(as_run, runs(cells)))
         # the group of the i-th distinct core lands in slice i mod
-        # threads, and holds the cells of its runs in order, with their
-        # core translations
+        # threads, and holds each distinct core translation of its runs'
+        # cells once, in order of first appearance, with their summed sizes
         by_core = {}
         for run in runs(cells):
             a = run[0].rep.a
@@ -740,9 +771,13 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         assert len(by_core) < len(runs(cells))
         for w, part in enumerate(slices):
             assert [zero for zero, _ in part] == list(by_core)[w::threads]
-            for zero, by_n in part:
-                assert [(size, b) for size, b, _ in by_n[n]] == \
-                    by_core[zero]
+            for zero, elements in part:
+                sizes = {}
+                for size, b in by_core[zero]:
+                    sizes[b] = sizes.get(b, 0) + size
+                assert [(b, list(by_n), sum(by_n[n].values()))
+                        for b, by_n in elements.items()] == \
+                    [(b, [n], size) for b, size in sizes.items()]
 
 
 def test_count_pairs_rejects_threads_below_one():
@@ -814,6 +849,29 @@ def test_file_is_read_only_by_import(tmp_path):
         with pytest.raises(ValueError, match=match):
             resolve_cells(3, provider, file=path)
     assert count(3, 3, -1, "import", file=path).count == 10
+
+
+def test_given_cells_take_the_one_dispatch(tmp_path):
+    # given cells go through resolve_cells as a provider's do: the
+    # provider must still be known, and a cell file beside them is a
+    # usage error for every provider, not an ignored argument
+    path = tmp_path / "cells.txt"
+    cells = affine_cells(3)
+    export_cells(cells, path)
+    for call in (count_pairs, resolve_cells):
+        args = (3, all_pairs(3)) if call is count_pairs else (3,)
+        with pytest.raises(ValueError, match="unknown provider 'mystery'"):
+            call(*args, "mystery", cells=cells)
+        for provider in burnside.PROVIDERS:
+            with pytest.raises(ValueError, match="cells.txt given beside"):
+                call(*args, provider, file=path, cells=cells)
+    # the cells from a file or given, under any provider, count as ever
+    for kwargs in ({"provider": "import", "file": path},
+                   *({"provider": p, "cells": cells}
+                     for p in burnside.PROVIDERS)):
+        got = count_pairs(3, all_pairs(3), **kwargs)
+        assert {p: r.count for p, r in got.items()} == FROZEN_COUNTS[3]
+        assert {r.cells for r in got.values()} == {len(cells)}
 
 
 def test_resolve_cells_import_checks_n(tmp_path):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Static checks on the package's source: every name a module imports is
+used in that module, and no module asserts."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import rmclass
 
-MODULES = sorted(p for p in Path(rmclass.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(rmclass.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def used_names(tree):
@@ -42,3 +43,15 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line} {name}"
               for name, line in sorted(imported.items()) if name not in used]
     assert not unused, unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_asserts(path):
+    # every check of the library is an explicit raise, so that python -O,
+    # which strips assert statements and sets __debug__ to False, runs the
+    # same checks, and a run without -O adds none
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert not found, found
