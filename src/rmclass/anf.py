@@ -199,14 +199,24 @@ def _var_masks(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def _masks_by_degree(n: int) -> tuple[tuple[int, ...], ...]:
+    """entry i = the masks of the degree-i monomials, in increasing order."""
+    by_degree = [[] for _ in range(n + 1)]
+    for u in range(1 << n):
+        by_degree[u.bit_count()].append(u)
+    return tuple(map(tuple, by_degree))
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_masks(n: int) -> tuple[int, ...]:
+    """entry i = the degree-i monomials as one 2**n-bit term set."""
+    return tuple(sum(1 << u for u in masks) for masks in _masks_by_degree(n))
+
+
 def _window_indicator(n: int, s: int, k: int) -> int:
     """Bit u set iff k < popcount(u) <= s; selects a window of term degrees."""
     check_params(n, s, k)
-    ind = 0
-    for u in range(1 << n):
-        if k < u.bit_count() <= s:
-            ind |= 1 << u
-    return ind
+    return sum(_degree_masks(n)[k + 1:s + 1])
 
 
 def mul_by_linear(terms: int, row_bits: int, const: int, n: int) -> int:

@@ -64,14 +64,14 @@ class ForkPool:
     map runs its first call in the calling process and forks one child
     per other call, each returning its result through a pipe; the caller
     reads each pipe to EOF and reaps every child before map returns or
-    raises. A child's exception is raised again in the caller; a child
-    that ends without a result, or an OSError from os.pipe or os.fork,
-    raises RuntimeError naming the worker, an internal failure rather
-    than bad input. If anything raises,
-    the children still running are killed first. Children are forked, so
-    they inherit the arguments and module state without pickling, and
-    only the results are pickled. Fork only where no other thread runs:
-    _workers checks that (_can_fork)."""
+    raises. A map of one call forks nothing and imports no pickle. A
+    child's exception is raised again in the caller; a child that ends
+    without a result, or an OSError from os.pipe or os.fork, raises
+    RuntimeError naming the worker, an internal failure rather than bad
+    input. If anything raises, the children still running are killed
+    first. Children are forked, so they inherit the arguments and module
+    state without pickling, and only the results are pickled. Fork only
+    where no other thread runs: _workers checks that (_can_fork)."""
 
     def __init__(self, max_workers: int):
         self.max_workers = max_workers
@@ -83,8 +83,6 @@ class ForkPool:
         return False
 
     def map(self, fn, *iterables) -> list:
-        import pickle  # only a pooled count pays for it
-
         first, *rest = zip(*iterables)
         pids, fds = [], []
         try:
@@ -104,6 +102,7 @@ class ForkPool:
                 pids.append(pid)
             results = [fn(*first)]
             for i, fd in enumerate(fds):
+                import pickle  # a round that forks nothing never loads it
                 with open(fd, "rb", closefd=False) as pipe:
                     data = pipe.read()
                 status = os.waitpid(pids[i], 0)[1]
@@ -130,8 +129,8 @@ class ForkPool:
         return results
 
 
-# the name _pooled looks the pool up by, at call time, so that a test or
-# the benchmark can put another executor in its place
+# the name count_pairs looks the pool up by, at call time, so that a test
+# or the benchmark can put another executor in its place
 ProcessPoolExecutor = ForkPool
 
 
@@ -211,8 +210,11 @@ def _squeeze(bits: int, keep: int) -> int:
 def _restrict(rows: tuple[int, ...], keep: int) -> tuple[int, ...]:
     """The rows of the matrix with these rows restricted to the
     coordinates set in the mask keep, rows and columns alike."""
-    return tuple(_squeeze(row, keep) for i, row in enumerate(rows)
-                 if keep >> i & 1)
+    out, i = [], keep
+    while i:  # the kept positions only, low to high
+        out.append(_squeeze(rows[(i & -i).bit_length() - 1], keep))
+        i &= i - 1
+    return tuple(out)
 
 
 def _zero_coset(rows: tuple[int, ...]) -> AffineElement:
@@ -276,7 +278,7 @@ def _peel_run(n: int, rows: tuple[int, ...], cells):
             free.bit_count(), peeled)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=None)
 def _peel_plan(plans: tuple[tuple[int, int, tuple[tuple[int, int], ...]],
                             ...]):
     """The windows one core element is eliminated on, for the cells that
@@ -468,16 +470,6 @@ def _workers(threads: int, tasks: int) -> int:
     return workers if workers == 1 or _can_fork() else 1
 
 
-def _pooled(fn, *iterables) -> list:
-    """fn over the shares, one per entry of the iterables, in order: in
-    the caller alone for one share, else through a pool of one worker per
-    share."""
-    if len(iterables[0]) == 1:
-        return [fn(*args) for args in zip(*iterables)]
-    with ProcessPoolExecutor(max_workers=len(iterables[0])) as pool:
-        return list(pool.map(fn, *iterables))
-
-
 def count_pairs(n: int, pairs, provider: str = "canonical", *,
                 threads: int = 1, file=None,
                 cells=None) -> dict[tuple, CountResult]:
@@ -494,11 +486,11 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
     peeled runs by their core zero coset and eliminates each distinct
     split part once, on the levels they read (_peel_groups); each
     distinct core element is eliminated once in the sweep, over every
-    window its cells need at any n. With threads > 1 each round goes to
-    at most min(threads, its tasks, CPUs) worker processes, the caller
-    included (ForkPool): the n dealt by _deal, then the groups, whole,
-    dealt in turn. One worker where os.fork is missing or another thread
-    runs; a round with one worker forks nothing.
+    window its cells need at any n. Each round is one map of a pool
+    (ForkPool) of min(threads, its tasks, CPUs) workers, the caller
+    included: the n dealt by _deal, then the groups, whole, dealt in turn.
+    One worker where os.fork is missing or another thread runs; a round
+    with one worker runs in the caller and forks nothing.
 
     Given cells, or a cell file (provider import), hold one n, this n, so
     a triple for another n is a usage error. Given cells must partition
@@ -528,14 +520,18 @@ def count_pairs(n: int, pairs, provider: str = "canonical", *,
                          f"only, not n={min(other)}")
     start = time.perf_counter()
     shares = _deal(wanted_by_n, _workers(threads, len(wanted_by_n)))
-    built = _pooled(_peeled_share, shares, [provider] * len(shares),
-                    [file] * len(shares), [cells] * len(shares))
+    with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+        built = list(pool.map(_peeled_share, shares,
+                              [provider] * len(shares), [file] * len(shares),
+                              [cells] * len(shares)))
     peeled = dict(sorted(p for share in built for p in share.items()))
     groups = _peel_groups(peeled, wanted_by_n)
     workers = _workers(threads, len(groups))
     # whole groups, so that each group's images are built in one slice
-    partials = _pooled(_pair_partial_sums, [wanted_by_n] * workers,
-                       [groups[w::workers] for w in range(workers)])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        partials = list(pool.map(
+            _pair_partial_sums, [wanted_by_n] * workers,
+            [groups[w::workers] for w in range(workers)]))
     elapsed = time.perf_counter() - start
     results = {}
     for m, w in wanted_by_n.items():

@@ -212,19 +212,17 @@ def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.rows, bits)
 
 
-def rank_of_rows(rows: Iterable[int],
-                 pivots: list[int] | None = None,
+def rank_of_rows(rows: Iterable[int], pivots: list[int],
                  bands: Sequence[int] = (-1,),
                  grown: list[int] | None = None) -> int:
     """Rank of a set of bit-packed rows. Consumes nothing; rows are ints.
 
     This is the one elimination loop of the package: each row is reduced by
-    the pivot rows and, if anything is left, kept as a new pivot. Given a
-    pivot list (entry b = the row whose pivot is bit b, 0 for none, one
-    entry per bit a pivot can take), it extends that list in place and
-    returns how much the rank grew, so an echelon form can be built up one
-    batch of rows at a time. Without one, a list as wide as the widest row
-    is used and dropped.
+    the pivot rows and, if anything is left, kept as a new pivot. It
+    extends the pivot list (entry b = the row whose pivot is bit b, 0 for
+    none, one entry per bit a pivot can take) in place and returns how
+    much the rank grew, so an echelon form can be built up one batch of
+    rows at a time.
 
     bands are disjoint bit masks, most significant first; bits outside
     every band are ignored. A row's pivot is its highest set bit in the
@@ -234,9 +232,6 @@ def rank_of_rows(rows: Iterable[int],
     order each time (a prefix may be dropped where no row reaches it).
     Given grown, a list as long as bands, grown[j] is raised by one for
     each new pivot in band j."""
-    if pivots is None:
-        rows = list(rows)
-        pivots = [0] * max((row.bit_length() for row in rows), default=0)
     r = 0
     for row in rows:
         # j = the index of band; a counter, as an enumerate per row slows

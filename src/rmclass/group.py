@@ -150,13 +150,24 @@ def to_permutation(g: AffineElement) -> Permutation:
 @functools.lru_cache(maxsize=None)
 def order_and_fixes(rows: tuple[int, ...]) -> tuple[int, bool]:
     """The multiplicative order of the invertible square matrix B with
-    these rows, and whether B fixes a nonzero vector, both read off the
-    cycle type of the permutation of (B, 0): the order is the lcm of the
-    cycle lengths, and 0 is always one fixed point."""
+    these rows, and whether B fixes a nonzero vector, both read off one
+    walk of the cycles of B^T, which is similar to B, on the nonzero
+    vectors: the lcm of their lengths, and a cycle of length 1. The
+    AffineElement check makes the images, doubled from B's rows (the
+    columns of B^T), a bijection."""
     d = len(rows)
-    lens = to_permutation(AffineElement(d, BitMatrix(d, d, rows),
-                                        BitVector(d, 0))).cycle_type()
-    return math.lcm(*lens), lens.count(1) > 1
+    AffineElement(d, BitMatrix(d, d, rows), BitVector(d, 0))
+    images = [0]  # entry x = B^T x
+    for row in rows:
+        images += [x ^ row for x in images]
+    lens = set()
+    for start in range(1, 1 << d):
+        x, length = start, 0
+        while images[x] >= 0:  # -1 marks a vector already walked
+            images[x], x = -1, images[x]
+            length += 1
+        lens.add(length)
+    return math.lcm(*lens - {0}), 1 in lens
 
 
 def from_permutation(sigma: Permutation) -> AffineElement:

@@ -16,6 +16,8 @@ import functools
 from typing import Sequence
 
 from .anf import (
+    _degree_masks,
+    _masks_by_degree,
     _window_indicator,
     check_params,
     monomial_order,
@@ -125,23 +127,6 @@ def _image_masks_with(n: int, top: int, k: int, b: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _masks_by_degree(n: int) -> tuple[tuple[int, ...], ...]:
-    """entry i = the masks of the degree-i monomials, in increasing order."""
-    by_degree = [[] for _ in range(n + 1)]
-    for u in range(1 << n):
-        by_degree[u.bit_count()].append(u)
-    return tuple(map(tuple, by_degree))
-
-
-@functools.lru_cache(maxsize=None)
-def _degree_bands(n: int) -> tuple[int, ...]:
-    """entry j = the bit mask of the monomials of degree n - j: the degree
-    masks from the top degree down, as rank_of_rows takes its bands."""
-    return tuple(sum(1 << u for u in masks)
-                 for masks in reversed(_masks_by_degree(n)))
-
-
-@functools.lru_cache(maxsize=256)
 def _window_plan(n: int, pairs: tuple[tuple[int, int], ...]):
     """The checked windows of one fixed_space_log2 call: the smallest k,
     the largest s, and (s, k, dimension) per pair in the order given. A
@@ -177,13 +162,13 @@ def fixed_space_log2(images: list[int], n: int,
     per_degree = [0] * (n + 1)
     # snap[s][j] = pivots of degree j once the rows of degree s were in
     snap = {}
-    bands = _degree_bands(n)
+    masks = _degree_masks(n)
     for i in range(k0 + 1, top + 1):
         # terms of degree <= k0 lie in no band: rank_of_rows ignores them.
         # Band j is degree i - j, so grown[j] counts its new pivots
         grown = [0] * (i - k0)
         rank_of_rows([images[u] ^ (1 << u) for u in _masks_by_degree(n)[i]],
-                     pivots, bands[n - i:n - k0], grown)
+                     pivots, masks[k0 + 1:i + 1][::-1], grown)
         for j, new in enumerate(grown):
             per_degree[i - j] += new
         snap[i] = per_degree.copy()

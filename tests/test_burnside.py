@@ -657,16 +657,16 @@ def test_one_sweep_counts_as_one_call_per_n(monkeypatch, threads):
     # every window of n = 1..8 over the rational cells, and of n = 1..4
     # over the exhaustive classes, in one call: the same counts and cell
     # numbers as one call per n, with one pool per round for all n, the
-    # first over the shares of n, the second over the slices of groups
+    # first over the shares of n, the second over the slices of groups;
+    # a serial count's rounds are pools of one share
     monkeypatch.setattr(burnside, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for provider, top in (("canonical", 8), ("exhaustive", 4)):
         FakePool.requested, FakePool.mapped = [], []
         got = count_pairs(top, all_windows(top), provider, threads=threads)
-        assert FakePool.requested == ([2, 2] if threads == 2 else [])
-        assert FakePool.mapped == ([("_peeled_share", 2),
-                                    ("_pair_partial_sums", 2)]
-                                   if threads == 2 else [])
+        assert FakePool.requested == [threads, threads]
+        assert FakePool.mapped == [("_peeled_share", threads),
+                                   ("_pair_partial_sums", threads)]
         assert len(got) == len(all_windows(top))
         for m in range(1, top + 1):
             for (k, s), want in count_pairs(m, all_pairs(m), provider).items():
@@ -708,13 +708,13 @@ def test_count_pairs_caps_workers_at_cpu_count(monkeypatch):
         FakePool.requested = []
         got = count_pairs(5, pairs, threads=threads)
         assert {p: r.count for p, r in got.items()} == serial
-        # one worker runs in the caller's process, without a pool
-        assert FakePool.requested == ([workers] if workers > 1 else [])
+        # the first round has one n, so one worker
+        assert FakePool.requested == [1, workers]
     # never more workers than groups of one core zero coset: n = 1 has
     # one
     FakePool.requested = []
     count(1, 1, -1, threads=8)
-    assert FakePool.requested == []
+    assert FakePool.requested == [1, 1]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -751,7 +751,7 @@ def test_count_pairs_builds_images_once_per_linear_part(monkeypatch, threads):
         peeled.clear()
         FakePool.requested = []
         count_pairs(n, all_pairs(n), threads=threads)
-        assert FakePool.requested == ([2] if threads == 2 else [])
+        assert FakePool.requested == [1, threads]
         assert len(slices) == threads
         cells = rational_cells(n)
         assert sorted(map(str, built)) == \
@@ -899,12 +899,15 @@ def test_count_rejects_bad_params():
 def test_process_pool_is_loaded_only_when_used():
     # a serial count runs in the caller's process and forks nothing; a
     # pooled one forks its workers itself. Neither imports
-    # concurrent.futures or multiprocessing, and neither leaves a child.
-    # The CPU count is pinned so that the pooled count forks
+    # concurrent.futures or multiprocessing, only a count that forked
+    # unpickles a result, and neither leaves a child. The CPU count is
+    # pinned so that the pooled count forks
     src = str(Path(rmclass.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    for call, forks in (("rmclass.count(4, 4, 1)", 0),
-                        ("rmclass.count(6, 3, 1, threads=2)", 1)):
+    for call, forks, loaded in (
+            ("rmclass.count(4, 4, 1)", 0, []),
+            ("rmclass.count_pairs(6, rmclass.burnside.all_pairs(6))", 0, []),
+            ("rmclass.count(6, 3, 1, threads=2)", 1, ["pickle"])):
         script = ("import os, sys, rmclass, rmclass.cli\n"
                   "os.cpu_count = lambda: 2\n"
                   "forks = []\n"
@@ -918,12 +921,12 @@ def test_process_pool_is_loaded_only_when_used():
                   "else:\n"
                   "    raise SystemExit('a child is left')\n"
                   "print(len(forks), sorted(m for m in (\n"
-                  "    'concurrent.futures.process', 'multiprocessing')\n"
-                  "    if m in sys.modules))\n")
+                  "    'concurrent.futures.process', 'multiprocessing',\n"
+                  "    'pickle') if m in sys.modules))\n")
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=120).stdout
-        assert out.strip() == f"{forks} []", call
+        assert out.strip() == f"{forks} {loaded}", call
     assert burnside.ProcessPoolExecutor is burnside.ForkPool
     with pytest.raises(AttributeError, match="no_such_name"):
         burnside.no_such_name
@@ -1173,6 +1176,22 @@ def test_part_levels_mirror_one_elimination(monkeypatch):
         for l in range(u + 1):
             assert burnside._part_levels(part, l, l) == tuple(
                 want[l] if j == l else 0 for j in range(u + 1)), (str(part), l)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_level_counts_are_the_product_polynomial(r):
+    # N for r free coordinates and split parts with these level counts is
+    # the coefficient list of (1 + x)^r times the parts' polynomials, by
+    # brute force over every choice of one term per factor: as long as the
+    # product, r + sum(len(c) - 1) + 1, with no zero padded on
+    rng = random.Random(r)
+    for _ in range(20):
+        parts = [tuple(rng.randrange(4) for _ in range(rng.randrange(1, 6)))
+                 for _ in range(rng.randrange(4))]
+        want = [0] * (r + sum(len(c) - 1 for c in parts) + 1)
+        for terms in itertools.product(*map(enumerate, [(1, 1)] * r + parts)):
+            want[sum(l for l, _ in terms)] += math.prod(c for _, c in terms)
+        assert burnside._level_counts(r, parts) == tuple(want), parts
 
 
 def test_deal_shares_the_largest_n_first():

@@ -166,9 +166,10 @@ def test_verify_opens_one_pool(capsys, monkeypatch):
     FakePool.requested, FakePool.mapped = [], []
     assert run_cli("verify", "--max-n", "6") == 0
     serial = capsys.readouterr().out
-    assert FakePool.requested == []
+    assert FakePool.requested == [1, 1]
     assert builds == [3, 4, 5, 6]
     builds.clear()
+    FakePool.requested, FakePool.mapped = [], []
     assert run_cli("verify", "--max-n", "6", "--threads", "2") == 0
     assert FakePool.requested == [2, 2]
     assert FakePool.mapped == [("_peeled_share", 2),

@@ -8,7 +8,7 @@ from conftest import (
     all_elements,
     make_example,
 )
-from rmclass import linrep
+from rmclass import anf
 from rmclass.anf import (
     Anf,
     CoefficientVector,
@@ -387,10 +387,14 @@ def test_translated_images_add_a_top_variable():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_degree_tables_match_their_definitions(n):
-    # the masks of each degree by a popcount filter, and each degree's
-    # band, top degree first, as the window of that one degree
-    assert linrep._masks_by_degree(n) == tuple(
+    # the masks of each degree, each degree's term set and every window
+    # indicator, all read off the one degree table, by a popcount filter
+    assert anf._masks_by_degree(n) == tuple(
         tuple(u for u in range(1 << n) if u.bit_count() == i)
         for i in range(n + 1))
-    assert linrep._degree_bands(n) == tuple(
-        _window_indicator(n, i, i - 1) for i in range(n, -1, -1))
+    assert anf._degree_masks(n) == tuple(
+        sum(1 << u for u in range(1 << n) if u.bit_count() == i)
+        for i in range(n + 1))
+    for k, s in all_pairs(n):
+        assert _window_indicator(n, s, k) == sum(
+            1 << u for u in range(1 << n) if k < u.bit_count() <= s)
